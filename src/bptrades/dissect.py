@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
-from bptrades.core import Modulus
+from bptrades.core import Modulus, _as_modulus
 from bptrades.matrices import balance_matrix
 from bptrades.rowperm import RowPermutation, trade_from_matrix
 from bptrades.trades import TradePair, validate_latin_trade
@@ -421,7 +421,7 @@ def log_trade(p: "int | Modulus") -> TradePair:
     good_dissection((p-3)/2), so the size is at most
     2*(3 + 5*log4((p-1)/2)) + 2.
     """
-    mod = p if isinstance(p, Modulus) else Modulus.of_odd(p)
+    mod = _as_modulus(p)
     if not mod.prime:
         raise ValueError(f"p={mod.p} must be prime")
     if mod.p < 5:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bptrades.core import Modulus, are_orthogonal, gen_bp
-from bptrades.rowperm import sqrt_mod
+from bptrades.core import Modulus, _as_modulus, are_orthogonal, gen_bp
+from bptrades.rowperm import sixth_root
 from bptrades.trades import TradePair, apply_trade, validate_orthogonal_trade
 
 __all__ = ["FamilyWitness", "find_k", "construct", "intercalate_witness"]
@@ -34,19 +34,13 @@ def find_k(p: "int | Modulus") -> int:
     Roots come in pairs k, 1-k, so exactly one representative lands in
     the range; it exists iff p = 1 mod 6.
     """
-    mod = p if isinstance(p, Modulus) else Modulus.of_odd(p)
+    mod = _as_modulus(p)
     if not mod.prime:
         raise ValueError(f"p={mod.p} must be prime")
     p = mod.p
     if p % 6 != 1:
         raise ValueError(f"p={p} is not 1 mod 6; no k with k^2-k+1 = 0 exists")
-    s = sqrt_mod(-3, p)
-    assert s is not None
-    inv2 = pow(2, -1, p)
-    k = next(r for r in ((1 + s) * inv2 % p, (1 - s) * inv2 % p)
-             if 2 <= r <= (p + 1) // 2)
-    assert (k * k - k + 1) % p == 0
-    return k
+    return sixth_root(p)
 
 
 def _range_cells(p: int, k: int, ranges: list[tuple[int, ...]]) -> np.ndarray:
@@ -73,7 +67,7 @@ def construct(p: "int | Modulus") -> FamilyWitness:
     mate set at i = k-1, the last at i = 0) contribute no cells.
     """
     k = find_k(p)
-    p = p.p if isinstance(p, Modulus) else p
+    p = _as_modulus(p).p
     # row 0 is row i(k-1) at i = 0
     base = [(0, 0, 0, k - 1, 0), (0, 0, k, 2 * k - 1, 0)]
     mate = [(0, 0, 0, k - 1, k), (0, 0, k, 2 * k - 1, -k)]

@@ -110,7 +110,8 @@ def symbol_system(t: TradePair, s: int) -> SymbolSystem:
     report = validate_orthogonal_trade(t)
     if not report.is_orthogonal_trade:
         raise ValueError(f"not an orthogonal trade: {report.failures[:3]}")
-    assert t.k is not None
+    if t.k is None:
+        raise ValueError("orthogonality index k is not set")
     p, k = t.p, t.k
     rows = tuple(sorted(r for r, _, b, _ in t.entries if b == s))
     if not rows:
@@ -198,7 +199,8 @@ def det_exact(A: TradeMatrix) -> int:
         prev = a[i][i]
     det = sign * a[m - 1][m - 1]
     diag_product = math.prod(A.entries[i][i] for i in range(m))
-    assert det <= diag_product, f"det {det} exceeds diagonal product {diag_product}"
+    if det > diag_product:
+        raise RuntimeError(f"det {det} exceeds diagonal product {diag_product}")
     return det
 
 

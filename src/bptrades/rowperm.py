@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from bptrades.core import Modulus, is_prime
+from bptrades.core import Modulus, _as_modulus, is_prime
 from bptrades.matrices import TradeMatrix, symbol_system
 from bptrades.trades import TradePair, validate_orthogonal_trade
 
@@ -223,17 +223,32 @@ def three_row_trade(p: "int | Modulus") -> "tuple[RowPermutation, int] | None":
 
     k is the root of k^2 - k + 1 = 0 mod p lying in [2, (p+1)/2].
     """
-    mod = p if isinstance(p, Modulus) else Modulus.of_odd(p)
+    mod = _as_modulus(p)
     if not mod.prime:
         raise ValueError(f"p={mod.p} must be prime")
     p = mod.p
     if p % 6 != 1:
         return None
-    s = sqrt_mod(-3, p)
-    assert s is not None, f"-3 must be a square mod {p} when p = 1 mod 6"
-    inv2 = pow(2, -1, p)
-    roots = {(1 + s) * inv2 % p, (1 - s) * inv2 % p}
-    k = next(r for r in roots if 2 <= r <= (p + 1) // 2)
+    k = sixth_root(p)
     sigma = RowPermutation.from_cycle(p, (0, 1, k))
-    assert rowperm_orthogonal(sigma, {k})
+    if not rowperm_orthogonal(sigma, {k}):
+        raise RuntimeError(f"three-cycle (0 1 {k}) does not preserve B_{p}({k})")
     return sigma, k
+
+
+def sixth_root(p: int) -> int:
+    """The root of k^2 - k + 1 = 0 mod p lying in [2, (p+1)/2], for a
+    prime p = 1 mod 6.
+
+    Roots come in pairs k, 1-k, so exactly one representative lands in
+    the range.
+    """
+    s = sqrt_mod(-3, p)
+    if s is None:
+        raise RuntimeError(f"-3 must be a square mod {p} when p = 1 mod 6")
+    inv2 = pow(2, -1, p)
+    k = next(r for r in ((1 + s) * inv2 % p, (1 - s) * inv2 % p)
+             if 2 <= r <= (p + 1) // 2)
+    if (k * k - k + 1) % p:
+        raise RuntimeError(f"{k} is not a root of k^2 - k + 1 mod {p}")
+    return k

@@ -1,6 +1,18 @@
 """Exhaustive searches: trade-size spectra, row-permutation support sets,
 transversal and orthomorphism enumeration.
 
+Every exhaustive walk runs on one backtracking kernel, ``_backtrack``.
+It fills rows in order with distinct values (the columns of a
+transversal, the images of an orthomorphism or of a row permutation)
+whose symbols must not repeat, and it walks only the free candidates of
+each row, lowest first via ``avail & -avail``: the bitset form of the
+candidate lists of Knuth's "Dancing Links" (arXiv cs/0011047).  Results
+therefore come out in lexicographic order.  Under a cyclic constraint
+row r gives value c the symbol (c + t_r) mod n, so the values that
+constraint blocks are one right shift, by t_r, of the used-symbol mask
+stored twice over (bits s and s + n for each used symbol s).  A general
+Latin square instead tests the symbol of each free column.
+
 A Latin square orthogonal to B_p(k) is the same thing as a labeling of a
 partition of the p x p grid into p disjoint transversals of B_p(k).  The
 spectrum search therefore enumerates such partitions as exact covers by
@@ -23,8 +35,18 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd, log2
+from operator import getitem, ne
 
-from bptrades.core import LatinSquare, Modulus, Orthomorphism, Transversal, gen_bp
+import numpy as np
+
+from bptrades.core import (
+    LatinSquare,
+    Modulus,
+    Orthomorphism,
+    Transversal,
+    _as_modulus,
+    gen_bp,
+)
 from bptrades.rowperm import RowPermutation, rowperm_orthogonal
 from bptrades.trades import TradePair, validate_orthogonal_trade
 
@@ -50,12 +72,108 @@ class BudgetExpired(Exception):
     """Internal signal: the search deadline passed; partial results stand."""
 
 
-def _default_threads() -> int:
-    return max(1, int(os.environ.get("MOLS_THREADS", "1")))
+def _worker_count(threads: "int | None") -> int:
+    """Threads for a spectrum search: ``threads``, else MOLS_THREADS,
+    else 1; at least 1 and at most the number of CPUs."""
+    if threads is None:
+        raw = os.environ.get("MOLS_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ValueError(f"MOLS_THREADS={raw!r} is not an integer") from None
+    return max(1, min(threads, os.cpu_count() or 1))
 
 
 def _deadline(budget: "float | None") -> "float | None":
     return None if budget is None else time.monotonic() + budget
+
+
+# -- the kernel ------------------------------------------------------------------
+
+
+def _backtrack(n, shifts=None, prefix=(), grid=None, deadline=None):
+    """Yield every extension of ``prefix`` to a list of n distinct values,
+    one per row, in which no symbol repeats; lexicographic order.
+
+    With ``grid``, row r gives value c the symbol grid[r][c].  Otherwise
+    each shift t in shifts[r] is a constraint of its own, giving value c
+    the symbol (c + t) % n.  The yielded list is reused: copy it to keep
+    it.  Raises BudgetExpired once ``deadline`` has passed.
+    """
+    full = (1 << n) - 1
+    if grid is None:
+        # constraint i keeps its doubled used-symbol mask in lane i of
+        # ``seen``, 2n bits wide; offs[r] holds the per-lane shifts
+        width = 2 * n
+        offs = [tuple(width * i + t for i, t in enumerate(row)) for row in shifts]
+        add = [
+            [
+                sum((1 << (c + t) % n | 1 << (c + t) % n + n) << width * i
+                    for i, t in enumerate(row))
+                for c in range(n)
+            ]
+            for row in shifts
+        ]
+    else:
+        add = [[1 << s for s in row] for row in grid]
+    cols = list(prefix) + [0] * (n - len(prefix))
+    used = seen = 0
+    for r, c in enumerate(prefix):
+        used |= 1 << c
+        seen |= add[r][c]
+    r = start = len(prefix)
+    if r == n:
+        yield cols
+        return
+    last = n - 1
+    avail_at = [0] * n
+    used_at = [0] * n
+    seen_at = [0] * n
+    nodes = 0
+    descend = True
+    while True:
+        if descend:
+            descend = False
+            if grid is None:
+                blocked = used
+                for o in offs[r]:
+                    blocked |= seen >> o
+                avail = full & ~blocked
+            else:
+                free = full & ~used
+                avail = 0
+                row = grid[r]
+                while free:
+                    low = free & -free
+                    free ^= low
+                    if not seen >> row[low.bit_length() - 1] & 1:
+                        avail |= low
+        if avail:
+            low = avail & -avail
+            avail ^= low
+            c = low.bit_length() - 1
+            cols[r] = c
+            if r == last:
+                yield cols
+                continue
+            if deadline is not None:
+                nodes += 1
+                if not nodes & 4095 and time.monotonic() > deadline:
+                    raise BudgetExpired
+            avail_at[r] = avail
+            used_at[r] = used
+            seen_at[r] = seen
+            used |= low
+            seen |= add[r][c]
+            r += 1
+            descend = True
+        elif r > start:
+            r -= 1
+            avail = avail_at[r]
+            used = used_at[r]
+            seen = seen_at[r]
+        else:
+            return
 
 
 # -- transversals ----------------------------------------------------------------
@@ -69,54 +187,43 @@ def _check_cap(order: int, force: bool) -> None:
         )
 
 
+def _transversal_columns(L: LatinSquare, prefix=()):
+    """The kernel over L: column lists of the transversals extending
+    ``prefix``.  Rows that are cyclic shifts of 0..n-1 take the shift
+    test, any other square the symbol test."""
+    n = L.order
+    cells = L.cells
+    if (cells == (cells[:, :1] + np.arange(n)) % n).all():
+        return _backtrack(n, [(int(t),) for t in cells[:, 0]], prefix)
+    return _backtrack(n, prefix=prefix, grid=[L.row(r) for r in range(n)])
+
+
 def enumerate_transversals(L: LatinSquare, force: bool = False):
     """Yield every transversal of L exactly once, lexicographic by the
     column chosen in each row."""
     _check_cap(L.order, force)
     p = L.order
-    grid = [L.row(r) for r in range(p)]
-    cols = [0] * p
-
-    def rec(r: int, used_c: int, used_s: int):
-        if r == p:
-            yield Transversal(p, tuple((i, cols[i]) for i in range(p)))
-            return
-        row = grid[r]
-        for c in range(p):
-            bit = 1 << c
-            if used_c & bit:
-                continue
-            sbit = 1 << row[c]
-            if used_s & sbit:
-                continue
-            cols[r] = c
-            yield from rec(r + 1, used_c | bit, used_s | sbit)
-
-    yield from rec(0, 0, 0)
+    for cols in _transversal_columns(L):
+        yield Transversal(p, tuple(enumerate(cols)))
 
 
 def count_transversals(L: LatinSquare, force: bool = False) -> int:
-    """Number of transversals of L, without materializing them."""
+    """Number of transversals of L, without materializing them.
+
+    When the cells show that shifting every column by one acts as a
+    single symbol permutation, that shift permutes the transversals in
+    orbits of size n, each with exactly one member through (0, 0); only
+    those are counted.
+    """
     _check_cap(L.order, force)
-    p = L.order
-    grid = [L.row(r) for r in range(p)]
-
-    def rec(r: int, used_c: int, used_s: int) -> int:
-        if r == p:
-            return 1
-        row = grid[r]
-        total = 0
-        for c in range(p):
-            bit = 1 << c
-            if used_c & bit:
-                continue
-            sbit = 1 << row[c]
-            if used_s & sbit:
-                continue
-            total += rec(r + 1, used_c | bit, used_s | sbit)
-        return total
-
-    return rec(0, 0, 0)
+    n = L.order
+    cells = L.cells
+    shifted = np.roll(cells, -1, axis=1)
+    perm = np.empty(n, dtype=np.int64)
+    perm[cells[0]] = shifted[0]
+    if (perm[cells] == shifted).all():
+        return n * sum(1 for _ in _transversal_columns(L, (0,)))
+    return sum(1 for _ in _transversal_columns(L))
 
 
 def diagonal_histogram(p: "int | Modulus", force: bool = False) -> dict[int, int]:
@@ -128,34 +235,20 @@ def diagonal_histogram(p: "int | Modulus", force: bool = False) -> dict[int, int
     where delta(v) counts rows with c_r - r = v.  Checks that the only
     keys are p itself or values at most p - log2(p) - 1.
     """
-    mod = p if isinstance(p, Modulus) else Modulus.of_odd(p)
+    mod = _as_modulus(p)
     if not mod.prime:
         raise ValueError(f"p={mod.p} must be prime")
     p = mod.p
     _check_cap(p, force)
     hist: Counter = Counter()
-    delta = [0] * p
-    # row 0 pinned to column 0; symbol 0 used
-    def rec(r: int, used_c: int, used_s: int):
-        if r == p:
-            for v in range(p):
-                hist[delta[v]] += 1
-            return
-        for c in range(p):
-            bit = 1 << c
-            if used_c & bit:
-                continue
-            sbit = 1 << ((r + c) % p)
-            if used_s & sbit:
-                continue
-            v = (c - r) % p
-            delta[v] += 1
-            rec(r + 1, used_c | bit, used_s | sbit)
-            delta[v] -= 1
-
-    delta[0] = 1
-    rec(1, 1, 1)
-    delta[0] = 0
+    unhit = 0  # shifts of representatives that miss the diagonal
+    diff = [[(c - r) % p for c in range(p)] for r in range(p)]
+    for cols in _backtrack(p, [(r,) for r in range(p)], (0,)):
+        delta = Counter(map(getitem, diff, cols))
+        unhit += p - len(delta)
+        hist.update(delta.values())
+    if unhit:
+        hist[0] += unhit
     cutoff = p - log2(p) - 1
     bad = [key for key in hist if key != p and key > cutoff]
     if bad:
@@ -192,90 +285,53 @@ def admissible_mates(p: int) -> tuple[int, ...]:
     )
 
 
-def _mask_cells(p: int, mask: int) -> list[tuple[int, int]]:
-    cells = []
-    while mask:
-        low = mask & -mask
-        cells.append(divmod(low.bit_length() - 1, p))
-        mask ^= low
-    return cells
-
-
-def _cells_mask(p: int, cells) -> int:
-    m = 0
-    for r, c in cells:
-        m |= 1 << (r * p + c)
-    return m
-
-
-def _root_representatives(p: int, k: int, masks: list[int]) -> list[int]:
+def _root_representatives(p: int, k: int, pinned: list[tuple[int, ...]]) -> list[int]:
     """One root index per orbit of transversals under the maps that fix
     the search problem: translations, unit scalings, and the transpose
     when k is self-inverse.
+
+    ``pinned`` lists the column tuples of the transversals of B_p(k)
+    through (0, 0) in lexicographic order, which puts them first among
+    all transversals; every orbit meets them.  The orbit search runs on
+    them alone, closing under unit scalings, the transpose, and the
+    translate that moves the row-1 cell to (0, 0) (repeated, it steps
+    through all p translates through (0, 0)).  Each orbit is represented
+    by its member of least bitmask, that is, least column tuple read from
+    the last row up.
 
     Achievable size sets are invariant under these maps, so every
     partition orbit is reached from some representative through (0, 0);
     restricting the first branch this way only drops repeats.
     """
-    units = [a for a in range(2, p) if gcd(a, p) == 1]
+    index = {cols: i for i, cols in enumerate(pinned)}
+    scalings = []
+    for a in range(2, p):
+        if gcd(a, p) == 1:
+            inv = pow(a, -1, p)
+            scalings.append((a, [inv * r % p for r in range(p)]))
     transpose = pow(k, 2, p) == 1
-    index = {m: i for i, m in enumerate(masks)}
-    seen = [False] * len(masks)
+    seen: set = set()
     reps = []
-    for start in range(len(masks)):
-        if seen[start]:
+    for start in index:
+        if start in seen:
             continue
-        orbit = {masks[start]}
-        frontier = [masks[start]]
-        while frontier:
-            m = frontier.pop()
-            cells = _mask_cells(p, m)
-            images = [
-                _cells_mask(p, (((r + 1) % p, c) for r, c in cells)),
-                _cells_mask(p, ((r, (c + 1) % p) for r, c in cells)),
-            ]
-            images += [
-                _cells_mask(p, ((a * r % p, a * c % p) for r, c in cells))
-                for a in units
-            ]
+        seen.add(start)
+        orbit = [start]
+        for cols in orbit:
+            c1 = cols[1]
+            images = [tuple((cols[(r + 1) % p] - c1) % p for r in range(p))]
+            images += [tuple(a * cols[j] % p for j in rows) for a, rows in scalings]
             if transpose:
-                images.append(_cells_mask(p, ((c, r) for r, c in cells)))
+                inverse = [0] * p
+                for r, c in enumerate(cols):
+                    inverse[c] = r
+                images.append(tuple(inverse))
             for im in images:
-                if im not in orbit:
-                    orbit.add(im)
-                    frontier.append(im)
-        for m in orbit:
-            seen[index[m]] = True
-        reps.append(index[min(m for m in orbit if m & 1)])
+                if im not in seen:
+                    seen.add(im)
+                    orbit.append(im)
+        reps.append(index[min(orbit, key=lambda cols: cols[::-1])])
     return reps
-
-
-def _transversal_masks(L: LatinSquare) -> list[int]:
-    p = L.order
-    grid = [L.row(r) for r in range(p)]
-    masks: list[int] = []
-    cols = [0] * p
-
-    def rec(r: int, used_c: int, used_s: int):
-        if r == p:
-            m = 0
-            for i in range(p):
-                m |= 1 << (i * p + cols[i])
-            masks.append(m)
-            return
-        row = grid[r]
-        for c in range(p):
-            bit = 1 << c
-            if used_c & bit:
-                continue
-            sbit = 1 << row[c]
-            if used_s & sbit:
-                continue
-            cols[r] = c
-            rec(r + 1, used_c | bit, used_s | sbit)
-
-    rec(0, 0, 0)
-    return masks
 
 
 def _agreement_vector(p: int, mask: int) -> tuple[int, ...]:
@@ -291,45 +347,31 @@ def _agreement_vector(p: int, mask: int) -> tuple[int, ...]:
     return tuple(a)
 
 
-def _achievable_sums(p: int, vectors: tuple[tuple[int, ...], ...]) -> int:
+def _labeling_table(p: int, vectors: "list[tuple[int, ...]]") -> list[int]:
     # dp[S] = bitset of agreement sums after labeling the first
-    # popcount(S) transversals with the label set S
+    # popcount(S) transversals with the label set S; dp[-1] holds every
+    # achievable total
+    full = (1 << p) - 1
     dp = [0] * (1 << p)
     dp[0] = 1
-    full = (1 << p) - 1
-    for state in range(1 << p):
+    for state in range(full):
         cur = dp[state]
         if not cur:
             continue
-        if state == full:
-            continue
         vec = vectors[bin(state).count("1")]
-        for s in range(p):
-            bit = 1 << s
-            if not state & bit:
-                dp[state | bit] |= cur << vec[s]
-    return dp[full]
+        free = full ^ state
+        while free:
+            bit = free & -free
+            free ^= bit
+            dp[state | bit] |= cur << vec[bit.bit_length() - 1]
+    return dp
 
 
-def _labeling_for(
-    p: int, vectors: tuple[tuple[int, ...], ...], target: int
-) -> "list[int] | None":
-    dp = [0] * (1 << p)
-    dp[0] = 1
-    full = (1 << p) - 1
-    for state in range(1 << p):
-        cur = dp[state]
-        if not cur or state == full:
-            continue
-        vec = vectors[bin(state).count("1")]
-        for s in range(p):
-            bit = 1 << s
-            if not state & bit:
-                dp[state | bit] |= cur << vec[s]
-    if not (dp[full] >> target) & 1:
-        return None
+def _labels(p: int, vectors, dp: list[int], target: int) -> list[int]:
+    # walk the table back from the full label set, taking for each
+    # transversal the least label that keeps the remaining total reachable
     labels = [0] * p
-    state, remaining = full, target
+    state, remaining = (1 << p) - 1, target
     for i in range(p - 1, -1, -1):
         for s in range(p):
             bit = 1 << s
@@ -341,8 +383,6 @@ def _labeling_for(
                 state ^= bit
                 remaining -= a
                 break
-        else:
-            return None
     return labels
 
 
@@ -377,15 +417,23 @@ def _spectrum_worker(
     sizes: set[int] = set()
     certificates: dict[int, TradePair] = {}
     chosen: list[int] = []
+    vector_of: dict[int, tuple[int, ...]] = {}
     counter = 0
 
+    def vector(i: int) -> tuple[int, ...]:
+        vec = vector_of.get(i)
+        if vec is None:
+            vec = vector_of[i] = _agreement_vector(p, masks[i])
+        return vec
+
     def handle_cover():
-        vectors = tuple(_agreement_vector(p, masks[i]) for i in chosen)
+        vectors = [vector(i) for i in chosen]
         key = tuple(sorted(vectors))
+        table = None
         sums = dp_memo.get(key)
         if sums is None:
-            sums = _achievable_sums(p, vectors)
-            dp_memo[key] = sums
+            table = _labeling_table(p, vectors)
+            sums = dp_memo[key] = table[-1]
         bits = sums
         agreement = 0
         while bits:
@@ -393,7 +441,9 @@ def _spectrum_worker(
                 size = p * p - agreement
                 if size not in sizes:
                     sizes.add(size)
-                    labels = _labeling_for(p, vectors, agreement)
+                    if table is None:
+                        table = _labeling_table(p, vectors)
+                    labels = _labels(p, vectors, table, agreement)
                     certificates[size] = _certificate(
                         p, k, [masks[i] for i in chosen], labels
                     )
@@ -454,15 +504,21 @@ def spectrum(
     Stops early once ``targets`` is covered or the budget expires, in
     which case exhaustive is False.
     """
-    mod = p if isinstance(p, Modulus) else Modulus.of_odd(p)
+    mod = _as_modulus(p)
     p = mod.p
     if k not in admissible_mates(p):
         raise ValueError(f"k={k} is not an admissible orthogonal mate mod {p}")
     start = time.monotonic()
     deadline = _deadline(budget)
-    workers = _default_threads() if threads is None else max(1, threads)
+    workers = _worker_count(threads)
 
-    masks = _transversal_masks(gen_bp(mod, k))
+    bits = [[1 << (r * p + c) for c in range(p)] for r in range(p)]
+    masks = []
+    pinned = []
+    for cols in _transversal_columns(gen_bp(mod, k)):
+        if not cols[0]:
+            pinned.append(tuple(cols))
+        masks.append(sum(map(getitem, bits, cols)))
     diagonals = {
         sum(1 << (r * p + (s - r) % p) for r in range(p)) for s in range(p)
     }
@@ -478,7 +534,7 @@ def spectrum(
     for cell in range(p * p):
         by_cell[cell].sort(key=rank.__getitem__)
 
-    roots = sorted(_root_representatives(p, k, masks), key=rank.__getitem__)
+    roots = sorted(_root_representatives(p, k, pinned), key=rank.__getitem__)
     slices = [roots[w::workers] for w in range(workers)]
     dp_memo: dict = {}
     if workers == 1:
@@ -525,7 +581,7 @@ def spectrum_all(
     the same size, so only one k per inverse pair is enumerated; the
     copied entries are listed in via_duality.
     """
-    mod = p if isinstance(p, Modulus) else Modulus.of_odd(p)
+    mod = _as_modulus(p)
     p = mod.p
     start = time.monotonic()
     deadline = _deadline(budget)
@@ -586,43 +642,12 @@ class RowPermSearchResult:
 def _sigma_search(p, ks, record, deadline):
     # exhaustive over sigma with sigma(0) = 1; affine conjugation maps any
     # permutation with nonempty support to such a representative without
-    # changing the support size or the preserved mate set
-    sigma = [0] * p
-    sigma[0] = 1
-    dmasks = list(ks)
-    for i, k in enumerate(ks):
-        dmasks[i] = 1 << ((-1) % p)
-    counter = 0
-
-    def rec(r, used, moved):
-        nonlocal counter
-        counter += 1
-        if counter % 4096 == 0 and deadline is not None:
-            if time.monotonic() > deadline:
-                raise BudgetExpired
-        if r == p:
-            record(moved, sigma)
-            return
-        for v in range(p):
-            if (used >> v) & 1:
-                continue
-            ok = True
-            for i, k in enumerate(ks):
-                if (dmasks[i] >> ((k * r - v) % p)) & 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            bits = [0] * len(ks)
-            for i, k in enumerate(ks):
-                bits[i] = 1 << ((k * r - v) % p)
-                dmasks[i] |= bits[i]
-            sigma[r] = v
-            rec(r + 1, used | (1 << v), moved + (v != r))
-            for i in range(len(ks)):
-                dmasks[i] ^= bits[i]
-
-    rec(1, 2, 1)
+    # changing the support size or the preserved mate set.  Mate k needs
+    # the values sigma(r) - k*r distinct: the symbols of shift -k*r.
+    shifts = [tuple(-k * r % p for k in ks) for r in range(p)]
+    rows = range(p)
+    for sigma in _backtrack(p, shifts, (1,), deadline=deadline):
+        record(sum(map(ne, sigma, rows)), sigma)
 
 
 def rowperm_sizes(
@@ -635,7 +660,7 @@ def rowperm_sizes(
     permutations up to affine conjugation; m = p is always present (the
     shifts) and m = p-1 whenever some scaling avoids the mate set.
     """
-    mod = p if isinstance(p, Modulus) else Modulus.of_odd(p)
+    mod = _as_modulus(p)
     if not mod.prime:
         raise ValueError(f"p={mod.p} must be prime")
     p = mod.p
@@ -658,7 +683,9 @@ def rowperm_sizes(
         def record(m, sigma, K=K):
             if m not in witnesses:
                 rp = RowPermutation(p, tuple(sigma))
-                assert rowperm_orthogonal(rp, set(K))
+                if not rowperm_orthogonal(rp, set(K)):
+                    raise RuntimeError(
+                        f"search witness {rp.images} does not preserve mates {K}")
                 witnesses[m] = (rp, K)
 
         try:
@@ -679,74 +706,42 @@ def rowperm_sizes(
 # -- orthomorphisms --------------------------------------------------------------
 
 
+def _orthomorphism_images(p: int, prefix=()):
+    # the image v of x must be new, and so must v - x: the symbol of shift -x
+    return _backtrack(p, [(-x % p,) for x in range(p)], prefix)
+
+
 def enumerate_orthomorphisms(p: "int | Modulus", force: bool = False):
     """Yield every orthomorphism of Z_p, lexicographic by image tuple."""
-    mod = p if isinstance(p, Modulus) else Modulus.of_odd(p)
-    p = mod.p
+    p = _as_modulus(p).p
     _check_cap(p, force)
-    images = [0] * p
-
-    def rec(x: int, used: int, used_d: int):
-        if x == p:
-            yield Orthomorphism(p, tuple(images))
-            return
-        for v in range(p):
-            if (used >> v) & 1:
-                continue
-            d = (v - x) % p
-            if (used_d >> d) & 1:
-                continue
-            images[x] = v
-            yield from rec(x + 1, used | (1 << v), used_d | (1 << d))
-
-    yield from rec(0, 0, 0)
-
-
-def _normalized_orthomorphism_images(p: int):
-    # theta(0) = 0; every orthomorphism has exactly one fixed point, so
-    # each translation-conjugacy orbit is represented exactly once
-    images = [0] * p
-
-    def rec(x: int, used: int, used_d: int):
-        if x == p:
-            yield tuple(images)
-            return
-        for v in range(p):
-            if (used >> v) & 1:
-                continue
-            d = (v - x) % p
-            if (used_d >> d) & 1:
-                continue
-            images[x] = v
-            yield from rec(x + 1, used | (1 << v), used_d | (1 << d))
-
-    yield from rec(1, 1, 1)
+    for images in _orthomorphism_images(p):
+        yield Orthomorphism(p, tuple(images))
 
 
 def min_distance_from_linear(p: "int | Modulus", k: int, force: bool = False) -> int:
     """Exact minimum Hamming distance from x -> k*x to any other
     orthomorphism of Z_p.
 
-    Scans normalized representatives; within an orbit the distance to the
+    Scans normalized representatives (theta(0) = 0; every orthomorphism
+    has exactly one fixed point, so each translation-conjugacy orbit is
+    represented exactly once); within an orbit the distance to the
     linear map varies over the residue histogram of theta(x) - k*x, so
     the orbit minimum is p minus the largest frequency (excluding the
     linear map itself, frequency p at 0).
     """
-    mod = p if isinstance(p, Modulus) else Modulus.of_odd(p)
+    mod = _as_modulus(p)
     if not mod.prime:
         raise ValueError(f"p={mod.p} must be prime")
     p = mod.p
     _check_cap(p, force)
     if not 2 <= k <= p - 1:
         raise ValueError(f"k={k} out of range 2..{p - 1}")
+    linear = [k * x % p for x in range(p)]
     best = p
-    for images in _normalized_orthomorphism_images(p):
-        freq = [0] * p
-        for x in range(p):
-            freq[(images[x] - k * x) % p] += 1
-        for count in freq:
-            if count == p:
-                continue
-            if p - count < best:
+    for images in _orthomorphism_images(p, (0,)):
+        freq = Counter((v - w) % p for v, w in zip(images, linear))
+        for count in freq.values():
+            if count != p and p - count < best:
                 best = p - count
     return best

@@ -33,6 +33,10 @@ __all__ = [
 
 Entry = tuple[int, int, int, int]
 
+# The largest modulus whose codes (line*p + symbol, k*r + c) stay below
+# 2^63, so the int64 validators cannot wrap.
+P_MAX = 3_037_000_499
+
 
 class TradePair:
     """A trade T/T' with index (ell, k); entries are (row, col, base, mate).
@@ -59,6 +63,8 @@ class TradePair:
                  entries: "Sequence[Sequence[int]] | np.ndarray"):
         if p < 3 or p % 2 == 0:
             raise ValueError(f"p={p} must be odd and at least 3")
+        if p > P_MAX:
+            raise ValueError(f"p={p} exceeds {P_MAX}, the largest supported modulus")
         if not (1 <= ell < p and math.gcd(ell, p) == 1):
             raise ValueError(f"ell={ell} is not a unit mod {p}")
         if k is not None and not (1 <= k < p and math.gcd(k, p) == 1):
@@ -402,7 +408,6 @@ def canonicalize(t: TradePair) -> TradePair:
     if t.size == 0:
         return t
     out = _scaled(t)
-    assert out.k is not None
     if out.k > pow(out.k, -1, out.p):
         out = _transposed(out)
     out = _translated(out)

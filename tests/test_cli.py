@@ -101,6 +101,17 @@ def test_verify_broken_trade_exits_one(capsys, tmp_path):
     assert payload["failures"]
 
 
+def test_verify_rejects_modulus_above_cap(capsys, tmp_path):
+    p = 2**33 + 1
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"p": p, "ell": 1, "k": 2,
+                                "entries": [[p - 2, 1, p - 1, 0]]}))
+    code, out, err = _invoke(capsys, "verify", "trade", "--file", path)
+    assert code == 1
+    assert out == ""
+    assert "largest supported modulus" in err
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, err = _invoke(capsys, "verify", "trade", "--file", tmp_path / "no.json")
     assert code == 2
@@ -309,6 +320,14 @@ def test_spectrum_thread_env_override(capsys, monkeypatch):
     code, out, _ = _invoke(capsys, "search", "spectrum", "--p", 5)
     assert code == 0
     assert json.loads(out)["sizes"] == [0, 10, 15, 20, 25]
+
+
+def test_spectrum_rejects_non_integer_thread_env(capsys, monkeypatch):
+    monkeypatch.setenv("MOLS_THREADS", "abc")
+    code, out, err = _invoke(capsys, "search", "spectrum", "--p", 5)
+    assert code == 2
+    assert out == ""
+    assert "MOLS_THREADS='abc' is not an integer" in err
 
 
 # -- search rowperm ----------------------------------------------------------------

@@ -67,6 +67,11 @@ def test_symbol_system_rejects_absent_symbol():
         symbol_system(FIG1, 2)  # symbol 2 does not occur in Fig. 1's trade
 
 
+def test_symbol_system_requires_index_k():
+    with pytest.raises(ValueError, match="index k is not set"):
+        symbol_system(TradePair(7, 1, None, ()), 0)
+
+
 def test_symbol_system_requires_index_one():
     t = TradePair(7, 2, 6, tuple((r, 2 * c % 7, 2 * b % 7, 2 * m % 7)
                                  for r, c, b, m in FIG1.entries))

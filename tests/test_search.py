@@ -1,14 +1,20 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from bptrades.core import gen_bp, is_transversal, orthomorphism_check
+from bptrades.cli import run
+from bptrades.core import LatinSquare, gen_bp, is_transversal, orthomorphism_check
 from bptrades.matrices import size_bounds
 from bptrades.rowperm import rowperm_orthogonal
 from bptrades.search import (
     TRANSVERSAL_CAP,
+    _root_representatives,
+    _sigma_search,
+    _worker_count,
     admissible_mates,
     count_transversals,
     diagonal_histogram,
@@ -91,6 +97,193 @@ def _count_oracle(p):
             memo[key] = _circulant_permanent(p, key, subsets, sizes)
         total += (-1) ** (p - int(sizes[smask])) * memo[key]
     return total
+
+
+# -- reference loops ------------------------------------------------------------
+# The row-by-row searches the bitset kernel replaced: every row tries all
+# p values against used-value and used-symbol masks.  Kept as references
+# for order as well as content.
+
+
+def _ref_transversals(L):
+    p = L.order
+    grid = [L.row(r) for r in range(p)]
+    cols = [0] * p
+
+    def rec(r, used_c, used_s):
+        if r == p:
+            yield tuple(cols)
+            return
+        for c in range(p):
+            if (used_c >> c) & 1 or (used_s >> grid[r][c]) & 1:
+                continue
+            cols[r] = c
+            yield from rec(r + 1, used_c | (1 << c), used_s | (1 << grid[r][c]))
+
+    yield from rec(0, 0, 0)
+
+
+def _ref_orthomorphisms(p):
+    images = [0] * p
+
+    def rec(x, used, used_d):
+        if x == p:
+            yield tuple(images)
+            return
+        for v in range(p):
+            d = (v - x) % p
+            if (used >> v) & 1 or (used_d >> d) & 1:
+                continue
+            images[x] = v
+            yield from rec(x + 1, used | (1 << v), used_d | (1 << d))
+
+    yield from rec(0, 0, 0)
+
+
+def _ref_sigma_records(p, ks):
+    sigma = [0] * p
+    sigma[0] = 1
+    dmasks = [1 << ((-1) % p) for _ in ks]
+    records = []
+
+    def rec(r, used, moved):
+        if r == p:
+            records.append((moved, tuple(sigma)))
+            return
+        for v in range(p):
+            if (used >> v) & 1:
+                continue
+            if any((dmasks[i] >> ((k * r - v) % p)) & 1 for i, k in enumerate(ks)):
+                continue
+            bits = [1 << ((k * r - v) % p) for k in ks]
+            for i, b in enumerate(bits):
+                dmasks[i] |= b
+            sigma[r] = v
+            rec(r + 1, used | (1 << v), moved + (v != r))
+            for i, b in enumerate(bits):
+                dmasks[i] ^= b
+
+    rec(1, 2, 1)
+    return records
+
+
+def _ref_root_representatives(p, k, masks):
+    # orbits over all transversals, as cell sets under single-step maps
+    def cells(m):
+        return [divmod(i, p) for i in range(p * p) if (m >> i) & 1]
+
+    def mask(cs):
+        return sum(1 << (r * p + c) for r, c in cs)
+
+    units = [a for a in range(2, p) if math.gcd(a, p) == 1]
+    transpose = pow(k, 2, p) == 1
+    index = {m: i for i, m in enumerate(masks)}
+    seen = set()
+    reps = set()
+    for start in masks:
+        if start in seen:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            cs = cells(frontier.pop())
+            images = [mask(((r + 1) % p, c) for r, c in cs),
+                      mask((r, (c + 1) % p) for r, c in cs)]
+            images += [mask((a * r % p, a * c % p) for r, c in cs) for a in units]
+            if transpose:
+                images.append(mask((c, r) for r, c in cs))
+            for im in images:
+                if im not in orbit:
+                    orbit.add(im)
+                    frontier.append(im)
+        seen |= orbit
+        reps.add(index[min(m for m in orbit if m & 1)])
+    return reps
+
+
+@pytest.mark.parametrize("p", [5, 7, 9])
+def test_transversals_match_reference_loop(p):
+    for k in (k for k in range(1, p) if math.gcd(k, p) == 1):
+        L = gen_bp(p, k)
+        want = list(_ref_transversals(L))
+        got = [tuple(c for _, c in t.cells) for t in enumerate_transversals(L)]
+        assert got == want
+        assert count_transversals(L) == len(want)
+
+
+@pytest.mark.parametrize("p", [5, 7, 9])
+def test_orthomorphisms_match_reference_loop(p):
+    got = [om.images for om in enumerate_orthomorphisms(p)]
+    assert got == list(_ref_orthomorphisms(p))
+
+
+@pytest.mark.parametrize("p", [5, 7, 9])
+def test_sigma_search_matches_reference_loop(p):
+    mates = [k for k in range(2, p) if math.gcd(k, p) == 1]
+    for K in [(k,) for k in mates] + list(itertools.combinations(mates, 2))[:6]:
+        records = []
+        _sigma_search(p, K, lambda m, sigma: records.append((m, tuple(sigma))), None)
+        assert records == _ref_sigma_records(p, K), K
+
+
+@pytest.mark.parametrize("p", [5, 7, 9])
+def test_root_representatives_match_reference(p):
+    for k in admissible_mates(p):
+        columns = list(_ref_transversals(gen_bp(p, k)))
+        masks = [sum(1 << (r * p + c) for r, c in enumerate(cols)) for cols in columns]
+        got = _root_representatives(p, k, [cols for cols in columns if not cols[0]])
+        assert len(got) == len(set(got))
+        assert set(got) == _ref_root_representatives(p, k, masks)
+
+
+def test_generic_squares_go_down_the_symbol_test_path():
+    # the Klein four-group table: rows are not cyclic shifts, and the
+    # column shift is no symbol permutation, so nothing is pinned
+    klein = LatinSquare([[r ^ c for c in range(4)] for r in range(4)])
+    got = {t.cells for t in enumerate_transversals(klein)}
+    assert got == _brute_transversals(klein)
+    assert len(got) == count_transversals(klein) == 8
+    # here pinning would be wrong: one of the three transversals is
+    # through (0, 0), not three fifths of one
+    L = LatinSquare([[0, 1, 2, 3, 4], [1, 2, 3, 4, 0], [2, 0, 4, 1, 3],
+                     [3, 4, 0, 2, 1], [4, 3, 1, 0, 2]])
+    got = [t.cells for t in enumerate_transversals(L)]
+    assert got == sorted(_brute_transversals(L))
+    assert count_transversals(L) == 3
+
+
+def test_relabeled_cyclic_square_counts_through_the_pinned_path():
+    # B_7(3) with its symbols permuted: not cyclic rows, but the column
+    # shift still acts as one symbol permutation
+    relabel = [3, 6, 0, 5, 1, 4, 2]
+    L = gen_bp(7, 3)
+    M = LatinSquare([[relabel[x] for x in L.row(r)] for r in range(7)])
+    assert [t.cells for t in enumerate_transversals(M)] == [
+        t.cells for t in enumerate_transversals(L)]
+    assert count_transversals(M) == CYCLIC_COUNTS[7]
+
+
+def test_spectrum_json_pinned(capsys):
+    # sha256 of `bptrades search spectrum --p 7` as the row-by-row search
+    # printed it, with the timing field budget_used zeroed
+    assert run(["search", "spectrum", "--p", "7"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["budget_used"] = 0
+    digest = hashlib.sha256((json.dumps(doc) + "\n").encode()).hexdigest()
+    assert digest == "51f68a29c03beef1bc4cf270eca0cd3b91c3de83e9afdd60e7fb8898aeb06787"
+
+
+def test_worker_count_helper(monkeypatch):
+    monkeypatch.setattr("bptrades.search.os.cpu_count", lambda: 2)
+    monkeypatch.delenv("MOLS_THREADS", raising=False)
+    assert _worker_count(None) == 1
+    assert [_worker_count(n) for n in (0, 1, 2, 3, 10**9)] == [1, 1, 2, 2, 2]
+    monkeypatch.setenv("MOLS_THREADS", "64")
+    assert _worker_count(None) == 2
+    monkeypatch.setenv("MOLS_THREADS", "abc")
+    with pytest.raises(ValueError, match="MOLS_THREADS"):
+        _worker_count(None)
+    assert _worker_count(1) == 1
 
 
 # -- transversal enumeration -------------------------------------------------
@@ -367,6 +560,12 @@ def test_rowperm_rejects_bad_input():
         rowperm_sizes(7, 0)
     with pytest.raises(ValueError, match="mates"):
         rowperm_sizes(7, 6)
+
+
+def test_rowperm_rejects_a_witness_that_fails_the_check(monkeypatch):
+    monkeypatch.setattr("bptrades.search.rowperm_orthogonal", lambda sigma, ks: False)
+    with pytest.raises(RuntimeError, match="does not preserve"):
+        rowperm_sizes(5, 1)
 
 
 def test_rowperm_budget_expiry():

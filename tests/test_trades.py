@@ -5,6 +5,7 @@ import pytest
 
 from bptrades.core import LatinSquare, are_orthogonal, gen_bp
 from bptrades.trades import (
+    P_MAX,
     TradePair,
     apply_trade,
     canonicalize,
@@ -112,6 +113,24 @@ def test_array_constructor_rejects_malformed():
     for rows, reason in cases:
         with pytest.raises(ValueError, match=reason):
             TradePair(7, 1, 3, np.array(rows))
+
+
+def test_modulus_cap_keeps_validator_codes_in_int64():
+    # at p = 2^33 + 1 the int64 code line*p + symbol wraps, and a
+    # row-balance failure in row 2^33 - 1 would be reported as line 0
+    p = 2**33 + 1
+    entries = ((p - 2, 1, p - 1, 0),)
+    with pytest.raises(ValueError, match="largest supported modulus"):
+        TradePair(p, 1, 2, entries)
+    with pytest.raises(ValueError, match="largest supported modulus"):
+        TradePair(p, 1, 2, np.array(entries))
+    # at the cap itself the last row is reported as itself
+    t = TradePair(P_MAX, 1, 2, ((P_MAX - 1, 0, P_MAX - 1, 0),))
+    report = validate_latin_trade(t)
+    assert ("latin:row_balance",
+            f"line {P_MAX - 1}: mate symbols do not rearrange base symbols") in report.failures
+    assert P_MAX % 2 == 1
+    assert (P_MAX - 1) * P_MAX + P_MAX - 1 < 2**63 <= (P_MAX + 2) ** 2
 
 
 def test_empty_array_input():
