@@ -202,7 +202,7 @@ def _cmd_construct(args) -> int:
         return 0
     # dissection
     try:
-        d = good_dissection(args.n) if args.n > 14 else base_dissection(args.n)
+        d = good_dissection(args.n)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -21,6 +21,16 @@ subset-sum dynamic program over per-transversal agreement vectors
 (agreement of transversal tau with label s = number of cells (r, c) of
 tau with r + c = s).  The trade size is p^2 minus the total agreement.
 
+The cover tables come from the transversals through (0, 0) alone, which
+the kernel enumerates p times faster than all of them.  Shifting every
+column by u maps a transversal of B_p(k) to another, so the transversals
+whose row-0 column is u are exactly those through (0, 0) shifted by u.
+Sorting each shift group and appending the groups in turn gives the
+masks in the lexicographic order of the full enumeration, and each cell
+lists its transversals in that order, once its anti-diagonal has been
+moved to the front.  The orbit roots are read off the group through
+(0, 0), and only that group's column tuples are kept.
+
 Row-permutation searches and orthomorphism scans cut the space by the
 affine conjugation symmetry, which preserves support sizes and per-k
 orthogonality; sets of achievable values are unaffected.
@@ -31,11 +41,12 @@ from __future__ import annotations
 import itertools
 import os
 import time
+from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import gcd, log2
-from operator import getitem, ne
+from math import gcd, lcm, log2
+from operator import getitem, itemgetter, ne
 
 import numpy as np
 
@@ -45,7 +56,6 @@ from bptrades.core import (
     Orthomorphism,
     Transversal,
     _as_modulus,
-    gen_bp,
 )
 from bptrades.rowperm import RowPermutation, rowperm_orthogonal
 from bptrades.trades import TradePair, validate_orthogonal_trade
@@ -103,15 +113,15 @@ def _backtrack(n, shifts=None, prefix=(), grid=None, deadline=None):
     full = (1 << n) - 1
     if grid is None:
         # constraint i keeps its doubled used-symbol mask in lane i of
-        # ``seen``, 2n bits wide; offs[r] holds the per-lane shifts
+        # ``seen``, 2n bits wide; offs[r] holds the per-lane shifts,
+        # and add[r][c] the bits value c sets in every lane: lane i's
+        # doubled one-hot list rotated left by the row's shift t
         width = 2 * n
         offs = [tuple(width * i + t for i, t in enumerate(row)) for row in shifts]
+        dbl = [1 << s | 1 << s + n for s in range(n)]
+        lanes = [[x << width * i for x in dbl] for i in range(len(shifts[0]))]
         add = [
-            [
-                sum((1 << (c + t) % n | 1 << (c + t) % n + n) << width * i
-                    for i, t in enumerate(row))
-                for c in range(n)
-            ]
+            list(map(sum, zip(*(lane[t:] + lane[:t] for lane, t in zip(lanes, row)))))
             for row in shifts
         ]
     else:
@@ -229,26 +239,56 @@ def count_transversals(L: LatinSquare, force: bool = False) -> int:
 def diagonal_histogram(p: "int | Modulus", force: bool = False) -> dict[int, int]:
     """Histogram of diagonal-hit counts over all transversals of B_p(1).
 
-    Exploits the column-shift symmetry: transversals with column 0 in row
-    0 represent each shift orbit once, and the p shifts of a
-    representative hit the diagonal delta(v) times for each residue v,
-    where delta(v) counts rows with c_r - r = v.  Checks that the only
-    keys are p itself or values at most p - log2(p) - 1.
+    A transversal is a column list c with r + c_r distinct; it hits the
+    diagonal delta(0) times, where delta(v) counts the rows with
+    d_r = c_r - r = v.  The maps (r, c) -> (a*r + t, a*c + t') with a a
+    unit form a group G of order p^2 (p - 1).  They permute the
+    transversals and send v to a*v + t' - t, so they keep the multiset
+    of values of delta.  Hence, for an orbit O of G and a member T:
+
+    - the p column shifts of a transversal hit the diagonal delta(v)
+      times, once for each residue v, so #{v : delta(v) = h} * |O| / p
+      members of O hit it h times;
+    - each ordered pair of rows with equal d is carried to rows 0 and 1,
+      with d = 0 there, by exactly one map in G, so O meets the
+      transversals through (0, 0) and (1, 1) |O| * pairs(T) / |G| times,
+      where pairs(T) = sum over v of delta(v) * (delta(v) - 1).
+
+    Only those pinned transversals are enumerated; each stands for
+    #{v : delta(v) = h} * p * (p - 1) / pairs(T) transversals with h
+    hits, summed exactly over a common denominator.  The orbits with
+    pairs = 0, where c - id is a permutation too, miss the pinned set:
+    each of their members hits the diagonal once, and there are p times
+    as many as those through (0, 0), which two kernel lanes (shifts r
+    and -r) count.  Checks that the only keys are p itself or values at
+    most p - log2(p) - 1.
     """
     mod = _as_modulus(p)
     if not mod.prime:
         raise ValueError(f"p={mod.p} must be prime")
     p = mod.p
     _check_cap(p, force)
-    hist: Counter = Counter()
-    unhit = 0  # shifts of representatives that miss the diagonal
+    # shape of a pinned transversal: the sorted nonzero values of delta
     diff = [[(c - r) % p for c in range(p)] for r in range(p)]
-    for cols in _backtrack(p, [(r,) for r in range(p)], (0,)):
-        delta = Counter(map(getitem, diff, cols))
-        unhit += p - len(delta)
-        hist.update(delta.values())
-    if unhit:
-        hist[0] += unhit
+    shapes: Counter = Counter()
+    for cols in _backtrack(p, [(r,) for r in range(p)], (0, 1)):
+        shapes[tuple(sorted(Counter(map(getitem, diff, cols)).values()))] += 1
+    weights = {shape: sum(h * (h - 1) for h in shape) for shape in shapes}
+    denom = lcm(*weights.values())
+    totals: Counter = Counter()
+    for shape, count in shapes.items():
+        share = count * p * (p - 1) * (denom // weights[shape])
+        totals[0] += (p - len(shape)) * share
+        for h in shape:
+            totals[h] += share
+    unpaired = sum(1 for _ in _backtrack(p, [(r, -r % p) for r in range(p)], (0,)))
+    totals[1] += p * unpaired * denom
+    hist = {}
+    for h, total in totals.items():
+        if total % denom:
+            raise RuntimeError(f"diagonal-hit total for {h} hits is not integral")
+        if total:
+            hist[h] = total // denom
     cutoff = p - log2(p) - 1
     bad = [key for key in hist if key != p and key > cutoff]
     if bad:
@@ -285,7 +325,9 @@ def admissible_mates(p: int) -> tuple[int, ...]:
     )
 
 
-def _root_representatives(p: int, k: int, pinned: list[tuple[int, ...]]) -> list[int]:
+def _root_representatives(
+    p: int, k: int, pinned: list[tuple[int, ...]], deadline: "float | None" = None
+) -> list[int]:
     """One root index per orbit of transversals under the maps that fix
     the search problem: translations, unit scalings, and the transpose
     when k is self-inverse.
@@ -301,37 +343,84 @@ def _root_representatives(p: int, k: int, pinned: list[tuple[int, ...]]) -> list
 
     Achievable size sets are invariant under these maps, so every
     partition orbit is reached from some representative through (0, 0);
-    restricting the first branch this way only drops repeats.
+    restricting the first branch this way only drops repeats.  Raises
+    BudgetExpired once ``deadline`` has passed.
     """
     index = {cols: i for i, cols in enumerate(pinned)}
+    # the scaling by a puts column a*cols[r/a] in row r; the translate
+    # that moves the row-1 cell to (0, 0) puts cols[r+1] - cols[1]
     scalings = []
     for a in range(2, p):
         if gcd(a, p) == 1:
             inv = pow(a, -1, p)
-            scalings.append((a, [inv * r % p for r in range(p)]))
+            scalings.append(
+                (itemgetter(*(inv * r % p for r in range(p))), [a * c % p for c in range(p)])
+            )
+    repin = [[(c - c1) % p for c in range(p)] for c1 in range(p)]
     transpose = pow(k, 2, p) == 1
     seen: set = set()
     reps = []
-    for start in index:
+    for n, start in enumerate(index):
+        if deadline is not None and not n & 255 and time.monotonic() > deadline:
+            raise BudgetExpired
         if start in seen:
             continue
         seen.add(start)
         orbit = [start]
         for cols in orbit:
-            c1 = cols[1]
-            images = [tuple((cols[(r + 1) % p] - c1) % p for r in range(p))]
-            images += [tuple(a * cols[j] % p for j in rows) for a, rows in scalings]
+            images = [itemgetter(*cols[1:], cols[0])(repin[cols[1]])]
+            images += [itemgetter(*rows(cols))(times) for rows, times in scalings]
             if transpose:
-                inverse = [0] * p
-                for r, c in enumerate(cols):
-                    inverse[c] = r
-                images.append(tuple(inverse))
+                images.append(tuple(sorted(range(p), key=cols.__getitem__)))
             for im in images:
                 if im not in seen:
                     seen.add(im)
                     orbit.append(im)
         reps.append(index[min(orbit, key=lambda cols: cols[::-1])])
     return reps
+
+
+def _cover_tables(p: int, k: int, deadline: "float | None" = None):
+    """The exact-cover tables of B_p(k), built from the transversals
+    through (0, 0) alone.
+
+    Returns ``masks``, the cell bitmask of every transversal in
+    lexicographic order of its column tuple; ``by_cell``, for each cell
+    the indices of the transversals through it, its anti-diagonal first
+    and then in index order; and ``roots``, the orbit roots of
+    ``_root_representatives`` with the anti-diagonal first.
+
+    Column tuples starting with u are the tuples through (0, 0) shifted
+    by u, so each shift group is sorted on its own and appended in turn.
+    Raises BudgetExpired once ``deadline`` has passed.
+    """
+    pinned = [
+        tuple(cols)
+        for cols in _backtrack(p, [(k * r % p,) for r in range(p)], (0,), deadline=deadline)
+    ]
+    roots = _root_representatives(p, k, pinned, deadline)
+    bits = [[1 << (r * p + c) for c in range(p)] for r in range(p)]
+    cells = [range(r * p, r * p + p) for r in range(p)]
+    masks: list[int] = []
+    by_cell: list[list[int]] = [[] for _ in range(p * p)]
+    for u in range(p):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExpired
+        shift = [*range(u, p), *range(u)]
+        group = sorted(itemgetter(*cols)(shift) for cols in pinned)
+        base = len(masks)
+        for i, cols in enumerate(group, base):
+            masks.append(sum(map(getitem, bits, cols)))
+            for cell in map(getitem, cells, cols):
+                by_cell[cell].append(i)
+        # the anti-diagonal through (0, u) goes to the front of its cells
+        anti = tuple(shift[-r] for r in range(p))
+        i = base + bisect_left(group, anti)
+        for cell in map(getitem, cells, anti):
+            by_cell[cell].remove(i)
+            by_cell[cell].insert(0, i)
+    front = by_cell[0][0]  # the anti-diagonal through (0, 0)
+    return masks, by_cell, sorted(roots, key=lambda j: (j != front, j))
 
 
 def _agreement_vector(p: int, mask: int) -> tuple[int, ...]:
@@ -401,6 +490,18 @@ def _certificate(
                 entries.append((r, c, base, s))
             m ^= low
     return TradePair(p, 1, k, tuple(entries))
+
+
+def _symbol_swaps(p: int, k: int):
+    """The trades that cycle the symbols 0..m-1 of B_p(1), m = 0, 2..p,
+    as a partial spectrum result: they need no search.  The anti-diagonal
+    cover, which the cover search tries first, yields the same sizes."""
+    antis = [sum(1 << r * p + (s - r) % p for r in range(p)) for s in range(p)]
+    certificates = {
+        m * p: _certificate(p, k, antis, [(s + 1) % m if s < m else s for s in range(p)])
+        for m in (0, *range(2, p + 1))
+    }
+    return set(certificates), certificates, False
 
 
 def _spectrum_worker(
@@ -502,7 +603,9 @@ def spectrum(
     cover by bitmasks, anti-diagonals tried first so near-identity
     labelings surface early) and runs the labeling DP per partition.
     Stops early once ``targets`` is covered or the budget expires, in
-    which case exhaustive is False.
+    which case exhaustive is False.  A budget that expires while the
+    transversals are still being enumerated leaves the symbol swaps,
+    sizes m*p, which need no search.
     """
     mod = _as_modulus(p)
     p = mod.p
@@ -512,44 +615,25 @@ def spectrum(
     deadline = _deadline(budget)
     workers = _worker_count(threads)
 
-    bits = [[1 << (r * p + c) for c in range(p)] for r in range(p)]
-    masks = []
-    pinned = []
-    for cols in _transversal_columns(gen_bp(mod, k)):
-        if not cols[0]:
-            pinned.append(tuple(cols))
-        masks.append(sum(map(getitem, bits, cols)))
-    diagonals = {
-        sum(1 << (r * p + (s - r) % p) for r in range(p)) for s in range(p)
-    }
-    order = sorted(range(len(masks)), key=lambda i: (masks[i] not in diagonals, i))
-    rank = {i: n for n, i in enumerate(order)}
-    by_cell: list[list[int]] = [[] for _ in range(p * p)]
-    for i, m in enumerate(masks):
-        mm = m
-        while mm:
-            low = mm & -mm
-            by_cell[low.bit_length() - 1].append(i)
-            mm ^= low
-    for cell in range(p * p):
-        by_cell[cell].sort(key=rank.__getitem__)
-
-    roots = sorted(_root_representatives(p, k, pinned), key=rank.__getitem__)
-    slices = [roots[w::workers] for w in range(workers)]
-    dp_memo: dict = {}
-    if workers == 1:
-        results = [
-            _spectrum_worker(p, k, masks, by_cell, roots, deadline, targets, dp_memo)
-        ]
+    try:
+        masks, by_cell, roots = _cover_tables(p, k, deadline)
+    except BudgetExpired:
+        results = [_symbol_swaps(p, k)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _spectrum_worker, p, k, masks, by_cell, sl, deadline, targets, {}
-                )
-                for sl in slices
+        if workers == 1:
+            results = [
+                _spectrum_worker(p, k, masks, by_cell, roots, deadline, targets, {})
             ]
-            results = [f.result() for f in futures]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [
+                    pool.submit(
+                        _spectrum_worker,
+                        p, k, masks, by_cell, roots[w::workers], deadline, targets, {},
+                    )
+                    for w in range(workers)
+                ]
+                results = [f.result() for f in futures]
 
     sizes: set[int] = set()
     certificates: dict[int, TradePair] = {}

@@ -242,7 +242,7 @@ def test_construct_dissection_svg(capsys, tmp_path):
 def test_construct_dissection_rejects_small_frame(capsys):
     code, _, err = _invoke(capsys, "construct", "dissection", "--n", 1)
     assert code == 1
-    assert "out of range" in err
+    assert "n=1 must be at least 3" in err
 
 
 # -- search spectrum ---------------------------------------------------------------

@@ -12,8 +12,10 @@ from bptrades.matrices import size_bounds
 from bptrades.rowperm import rowperm_orthogonal
 from bptrades.search import (
     TRANSVERSAL_CAP,
+    _cover_tables,
     _root_representatives,
     _sigma_search,
+    _transversal_columns,
     _worker_count,
     admissible_mates,
     count_transversals,
@@ -35,6 +37,8 @@ DIAG_HIST = {
     5: {0: 4, 1: 10, 5: 1},
     7: {0: 48, 1: 42, 2: 42, 7: 1},
     11: {0: 14860, 1: 12826, 2: 6930, 3: 2090, 4: 880, 5: 220, 6: 44, 11: 1},
+    13: {0: 392352, 1: 369200, 2: 178152, 3: 65520, 4: 19084, 5: 4758, 6: 936,
+         7: 364, 13: 1},
 }
 
 S5 = frozenset({0, 10, 15, 20, 25})
@@ -201,6 +205,41 @@ def _ref_root_representatives(p, k, masks):
     return reps
 
 
+def _ref_cover_tables(p, k):
+    # the spectrum tables as built from every transversal: masks in
+    # enumeration order, each cell's list and the roots sorted by rank,
+    # which puts the anti-diagonals first
+    masks = [sum(1 << (r * p + c) for r, c in enumerate(cols))
+             for cols in _ref_transversals(gen_bp(p, k))]
+    diagonals = {sum(1 << (r * p + (s - r) % p) for r in range(p)) for s in range(p)}
+    order = sorted(range(len(masks)), key=lambda i: (masks[i] not in diagonals, i))
+    rank = {i: n for n, i in enumerate(order)}
+    by_cell = [[] for _ in range(p * p)]
+    for i, m in enumerate(masks):
+        mm = m
+        while mm:
+            low = mm & -mm
+            by_cell[low.bit_length() - 1].append(i)
+            mm ^= low
+    for cell in range(p * p):
+        by_cell[cell].sort(key=rank.__getitem__)
+    roots = sorted(_ref_root_representatives(p, k, masks), key=rank.__getitem__)
+    return masks, by_cell, roots
+
+
+def _ref_diagonal_histogram(p):
+    # every transversal through (0, 0) stands for its p column shifts,
+    # which hit the diagonal delta(v) times for each residue v
+    hist = {}
+    for cols in _transversal_columns(gen_bp(p, 1), (0,)):
+        delta = [0] * p
+        for r, c in enumerate(cols):
+            delta[(c - r) % p] += 1
+        for hits in delta:
+            hist[hits] = hist.get(hits, 0) + 1
+    return dict(sorted(hist.items()))
+
+
 @pytest.mark.parametrize("p", [5, 7, 9])
 def test_transversals_match_reference_loop(p):
     for k in (k for k in range(1, p) if math.gcd(k, p) == 1):
@@ -234,6 +273,17 @@ def test_root_representatives_match_reference(p):
         got = _root_representatives(p, k, [cols for cols in columns if not cols[0]])
         assert len(got) == len(set(got))
         assert set(got) == _ref_root_representatives(p, k, masks)
+
+
+@pytest.mark.parametrize("p", [5, 7, 9])
+def test_cover_tables_match_full_enumeration(p):
+    for k in admissible_mates(p):
+        assert _cover_tables(p, k) == _ref_cover_tables(p, k), k
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_histogram_matches_column_shift_reference(p):
+    assert diagonal_histogram(p) == _ref_diagonal_histogram(p)
 
 
 def test_generic_squares_go_down_the_symbol_test_path():
@@ -349,14 +399,23 @@ def test_force_overrides_cap(monkeypatch):
 # -- diagonal histograms ------------------------------------------------------
 
 
-@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_diagonal_histogram_frozen(p):
     assert diagonal_histogram(p) == DIAG_HIST[p]
 
 
-@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_histogram_mass_is_transversal_count(p):
     assert sum(diagonal_histogram(p).values()) == CYCLIC_COUNTS[p]
+
+
+def test_histogram_rejects_a_non_integral_total(monkeypatch):
+    # a pinned list with delta values (3, 2) would stand for 20/8
+    # transversals with 3 hits, which no orbit can
+    monkeypatch.setattr(
+        "bptrades.search._backtrack", lambda *args, **kwargs: iter([[0, 1, 2, 4, 0]]))
+    with pytest.raises(RuntimeError, match="not integral"):
+        diagonal_histogram(5)
 
 
 def test_histogram_via_brute_force():
@@ -482,6 +541,21 @@ def test_spectrum_budget_expiry_is_partial():
     assert not res.exhaustive
     assert res.sizes <= frozenset(range(0, 122))
     assert res.budget_used < 5
+
+
+def test_spectrum_budget_bounds_the_enumeration(capsys):
+    # B_17(2) has far too many transversals to enumerate in half a
+    # second; the budget stops the enumeration and the result keeps the
+    # symbol swaps, which need no search
+    res = spectrum(17, 2, budget=0.5)
+    assert not res.exhaustive
+    assert res.budget_used < 5
+    assert res.sizes == {0} | {17 * m for m in range(2, 18)}
+    for size, trade in res.certificates.items():
+        report = validate_orthogonal_trade(trade)
+        assert report and report.size == size
+    assert run(["search", "spectrum", "--p", "17", "--k", "2", "--budget", "0.5"]) == 3
+    assert json.loads(capsys.readouterr().out)["exhaustive"] is False
 
 
 def test_spectrum_targets_stop_early():
