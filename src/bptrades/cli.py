@@ -111,7 +111,7 @@ def _cmd_verify(args) -> int:
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             print(f"malformed dissection document: {exc}", file=sys.stderr)
             return 2
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             print(f"invalid dissection: {exc}", file=sys.stderr)
             return 1
         _print_json({"valid": True, "order": d.order, "w": d.w, "h": d.h})
@@ -121,7 +121,7 @@ def _cmd_verify(args) -> int:
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         print(f"malformed trade document: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"invalid trade: {exc}", file=sys.stderr)
         return 1
     # trades without a stored mate index only claim Latin validity
@@ -153,7 +153,7 @@ def _cmd_canon(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         print(f"cannot read trade: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"invalid trade: {exc}", file=sys.stderr)
         return 1
     try:
@@ -239,17 +239,9 @@ def _cmd_search(args) -> int:
         try:
             targets = _parse_targets(args.targets) if args.targets else None
             if args.k is None:
-                res = spectrum_all(
-                    args.p, budget=args.budget, threads=args.threads, targets=targets
-                )
+                res = spectrum_all(args.p, budget=args.budget, targets=targets)
             else:
-                res = spectrum(
-                    args.p,
-                    args.k,
-                    budget=args.budget,
-                    threads=args.threads,
-                    targets=targets,
-                )
+                res = spectrum(args.p, args.k, budget=args.budget, targets=targets)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
@@ -421,13 +413,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         ssp = shapes.add_parser(shape, help=help_text)
         ssp.add_argument("--p", type=int, required=True)
-        add_pretty(ssp)
         ssp.set_defaults(func=_cmd_construct, shape=shape)
     ssp = shapes.add_parser("dissection", help="good dissection of the n+3 by n frame")
     ssp.add_argument("--n", type=int, required=True)
     ssp.add_argument("--svg", help="also write an SVG rendering here")
     ssp.add_argument("--trade", action="store_true", help="emit the induced trade")
-    add_pretty(ssp)
     ssp.set_defaults(func=_cmd_construct, shape="dissection")
 
     sp = sub.add_parser("search", help="exhaustive searches")
@@ -436,7 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ssp.add_argument("--p", type=int, required=True)
     ssp.add_argument("--k", type=int, help="single mate; default all admissible")
     ssp.add_argument("--budget", type=float, help="seconds before giving up")
-    ssp.add_argument("--threads", type=int, default=None)
     ssp.add_argument("--targets", help="sizes to certify, e.g. '0,22,33,36..121'")
     add_pretty(ssp)
     ssp.set_defaults(func=_cmd_search, what="spectrum")
@@ -464,7 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="minimum distance from the linear map x -> K x",
     )
     sp.add_argument("--force", action="store_true", help="ignore the order cap")
-    add_pretty(sp)
     sp.set_defaults(func=_cmd_orthomorphisms)
 
     sp = sub.add_parser("bounds", help="size lower bounds for index (1, k)")

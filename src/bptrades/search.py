@@ -39,11 +39,9 @@ orthogonality; sets of achievable values are unaffected.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from bisect import bisect_left
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd, lcm, log2
 from operator import getitem, itemgetter, ne
@@ -80,18 +78,6 @@ TRANSVERSAL_CAP = 13
 
 class BudgetExpired(Exception):
     """Internal signal: the search deadline passed; partial results stand."""
-
-
-def _worker_count(threads: "int | None") -> int:
-    """Threads for a spectrum search: ``threads``, else MOLS_THREADS,
-    else 1; at least 1 and at most the number of CPUs."""
-    if threads is None:
-        raw = os.environ.get("MOLS_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"MOLS_THREADS={raw!r} is not an integer") from None
-    return max(1, min(threads, os.cpu_count() or 1))
 
 
 def _deadline(budget: "float | None") -> "float | None":
@@ -504,7 +490,7 @@ def _symbol_swaps(p: int, k: int):
     return set(certificates), certificates, False
 
 
-def _spectrum_worker(
+def _cover_search(
     p: int,
     k: int,
     masks: list[int],
@@ -512,13 +498,16 @@ def _spectrum_worker(
     roots: list[int],
     deadline: "float | None",
     targets: "frozenset | None",
-    dp_memo: dict,
 ):
+    """Exact covers of the grid from each root in turn, each labeled by
+    the DP.  Returns the sizes found, a certificate per size and whether
+    every cover was visited."""
     full = (1 << (p * p)) - 1
     sizes: set[int] = set()
     certificates: dict[int, TradePair] = {}
     chosen: list[int] = []
     vector_of: dict[int, tuple[int, ...]] = {}
+    dp_memo: dict[tuple, int] = {}
     counter = 0
 
     def vector(i: int) -> tuple[int, ...]:
@@ -575,26 +564,21 @@ def _spectrum_worker(
                 return True
         return False
 
-    exhausted = True
     try:
         for root in roots:
             chosen.append(root)
-            stop = rec(masks[root])
+            if rec(masks[root]):
+                return sizes, certificates, False
             chosen.pop()
-            if stop:
-                exhausted = False
-                break
     except BudgetExpired:
-        chosen.clear()
-        exhausted = False
-    return sizes, certificates, exhausted
+        return sizes, certificates, False
+    return sizes, certificates, True
 
 
 def spectrum(
     p: "int | Modulus",
     k: int,
     budget: "float | None" = None,
-    threads: "int | None" = None,
     targets: "frozenset | None" = None,
 ) -> SpectrumResult:
     """Sizes of orthogonal trades of index (1, k) in B_p.
@@ -605,49 +589,33 @@ def spectrum(
     Stops early once ``targets`` is covered or the budget expires, in
     which case exhaustive is False.  A budget that expires while the
     transversals are still being enumerated leaves the symbol swaps,
-    sizes m*p, which need no search.
+    sizes m*p, which need no search.  Above ``TRANSVERSAL_CAP`` a budget
+    is required: the enumeration alone would not finish.
     """
     mod = _as_modulus(p)
     p = mod.p
+    if p > TRANSVERSAL_CAP and budget is None:
+        raise ValueError(
+            f"p={p} above the exhaustive cap {TRANSVERSAL_CAP};"
+            " a budget is required above the cap"
+        )
     if k not in admissible_mates(p):
         raise ValueError(f"k={k} is not an admissible orthogonal mate mod {p}")
     start = time.monotonic()
     deadline = _deadline(budget)
-    workers = _worker_count(threads)
-
     try:
         masks, by_cell, roots = _cover_tables(p, k, deadline)
     except BudgetExpired:
-        results = [_symbol_swaps(p, k)]
+        sizes, certificates, exhaustive = _symbol_swaps(p, k)
     else:
-        if workers == 1:
-            results = [
-                _spectrum_worker(p, k, masks, by_cell, roots, deadline, targets, {})
-            ]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        _spectrum_worker,
-                        p, k, masks, by_cell, roots[w::workers], deadline, targets, {},
-                    )
-                    for w in range(workers)
-                ]
-                results = [f.result() for f in futures]
-
-    sizes: set[int] = set()
-    certificates: dict[int, TradePair] = {}
-    exhaustive = True
-    for s_part, c_part, ex_part in results:
-        sizes |= s_part
-        for size, cert in sorted(c_part.items()):
-            certificates.setdefault(size, cert)
-        exhaustive = exhaustive and ex_part
+        sizes, certificates, exhaustive = _cover_search(
+            p, k, masks, by_cell, roots, deadline, targets
+        )
     return SpectrumResult(
         p=p,
         per_k={k: frozenset(sizes)},
         sizes=frozenset(sizes),
-        certificates=certificates,
+        certificates=dict(sorted(certificates.items())),
         exhaustive=exhaustive,
         budget_used=time.monotonic() - start,
     )
@@ -656,7 +624,6 @@ def spectrum(
 def spectrum_all(
     p: "int | Modulus",
     budget: "float | None" = None,
-    threads: "int | None" = None,
     targets: "frozenset | None" = None,
 ) -> SpectrumResult:
     """Union of spectrum(p, k) over admissible k.
@@ -682,7 +649,7 @@ def spectrum_all(
             exhaustive = False
             break
         left = None if deadline is None else max(0.0, deadline - time.monotonic())
-        res = spectrum(mod, k, budget=left, threads=threads, targets=remaining)
+        res = spectrum(mod, k, budget=left, targets=remaining)
         per_k[k] = res.per_k[k]
         inv = pow(k, -1, p)
         if inv != k:

@@ -136,6 +136,8 @@ class TradePair:
     @classmethod
     def from_json(cls, text: str) -> "TradePair":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise TypeError("a trade document must be a JSON object")
         k = obj.get("k")
         return cls(
             int(obj["p"]),

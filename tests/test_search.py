@@ -16,7 +16,6 @@ from bptrades.search import (
     _root_representatives,
     _sigma_search,
     _transversal_columns,
-    _worker_count,
     admissible_mates,
     count_transversals,
     diagonal_histogram,
@@ -323,19 +322,6 @@ def test_spectrum_json_pinned(capsys):
     assert digest == "51f68a29c03beef1bc4cf270eca0cd3b91c3de83e9afdd60e7fb8898aeb06787"
 
 
-def test_worker_count_helper(monkeypatch):
-    monkeypatch.setattr("bptrades.search.os.cpu_count", lambda: 2)
-    monkeypatch.delenv("MOLS_THREADS", raising=False)
-    assert _worker_count(None) == 1
-    assert [_worker_count(n) for n in (0, 1, 2, 3, 10**9)] == [1, 1, 2, 2, 2]
-    monkeypatch.setenv("MOLS_THREADS", "64")
-    assert _worker_count(None) == 2
-    monkeypatch.setenv("MOLS_THREADS", "abc")
-    with pytest.raises(ValueError, match="MOLS_THREADS"):
-        _worker_count(None)
-    assert _worker_count(1) == 1
-
-
 # -- transversal enumeration -------------------------------------------------
 
 
@@ -527,15 +513,6 @@ def test_nonzero_sizes_clear_lower_bound():
             assert all(s > floor for s in sizes if s)
 
 
-def test_spectrum_worker_invariance():
-    base = spectrum_all(7, threads=1)
-    for threads in (2, 3):
-        other = spectrum_all(7, threads=threads)
-        assert other.sizes == base.sizes
-        assert other.per_k == base.per_k
-        assert other.exhaustive
-
-
 def test_spectrum_budget_expiry_is_partial():
     res = spectrum(11, 2, budget=0.05)
     assert not res.exhaustive
@@ -556,6 +533,22 @@ def test_spectrum_budget_bounds_the_enumeration(capsys):
         assert report and report.size == size
     assert run(["search", "spectrum", "--p", "17", "--k", "2", "--budget", "0.5"]) == 3
     assert json.loads(capsys.readouterr().out)["exhaustive"] is False
+
+
+def test_spectrum_requires_budget_above_cap(capsys, monkeypatch):
+    # without a budget B_17 would be enumerated until memory runs out;
+    # the refusal must come before any enumeration starts
+    def enumerate_covers(*args):
+        raise AssertionError("the cover tables were built")
+
+    monkeypatch.setattr("bptrades.search._cover_tables", enumerate_covers)
+    for search in (lambda: spectrum(17, 2), lambda: spectrum_all(17)):
+        with pytest.raises(ValueError, match="budget is required above the cap"):
+            search()
+    assert run(["search", "spectrum", "--p", "17"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "budget is required above the cap" in err
 
 
 def test_spectrum_targets_stop_early():
