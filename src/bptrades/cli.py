@@ -26,6 +26,7 @@ from bptrades.family16 import construct as family_construct
 from bptrades.matrices import size_bounds
 from bptrades.rowperm import RowPermutation, three_row_trade, trade_from_rowperm
 from bptrades.search import (
+    _check_cap,
     count_transversals,
     diagonal_histogram,
     enumerate_orthomorphisms,
@@ -59,19 +60,20 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _parse_targets(text: str) -> frozenset:
-    # comma-separated integers; "a..b" spans an inclusive range
+def _parse_targets(text: str, p: int) -> frozenset:
+    # comma-separated sizes; "a..b" spans an inclusive range.  Every bound
+    # must lie in 0..p*p, checked before a range is expanded
     out = set()
     for part in text.split(","):
         part = part.strip()
         try:
-            if ".." in part:
-                lo, hi = part.split("..", 1)
-                out.update(range(int(lo), int(hi) + 1))
-            elif part:
-                out.add(int(part))
+            bounds = [int(x) for x in part.split("..", 1)] if part else []
         except ValueError:
             raise ValueError(f"bad --targets element {part!r}") from None
+        if any(not 0 <= b <= p * p for b in bounds):
+            raise ValueError(f"--targets element {part!r} is outside 0..{p * p}")
+        if bounds:
+            out.update(range(bounds[0], bounds[-1] + 1))
     return frozenset(out)
 
 
@@ -237,7 +239,7 @@ def _spectrum_payload(res) -> dict:
 def _cmd_search(args) -> int:
     if args.what == "spectrum":
         try:
-            targets = _parse_targets(args.targets) if args.targets else None
+            targets = _parse_targets(args.targets, args.p) if args.targets else None
             if args.k is None:
                 res = spectrum_all(args.p, budget=args.budget, targets=targets)
             else:
@@ -297,6 +299,8 @@ def _cmd_transversals(args) -> int:
             )
         return 0
     try:
+        # before gen_bp, which allocates a p x p array
+        _check_cap(args.p, args.force)
         n = count_transversals(gen_bp(args.p, args.k), force=args.force)
     except ValueError as exc:
         _cli_error(exc)
@@ -484,7 +488,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early (e.g. piped into head); send what is
+        # still buffered to devnull so the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from importlib import resources
 from bptrades.core import Modulus, _as_modulus
 from bptrades.matrices import balance_matrix
 from bptrades.rowperm import RowPermutation, trade_from_matrix
-from bptrades.trades import TradePair, validate_latin_trade
+from bptrades.trades import TradePair, _json_int, validate_latin_trade
 
 __all__ = [
     "SquareDissection",
@@ -106,9 +106,10 @@ class SquareDissection:
     def from_json(cls, text: str) -> "SquareDissection":
         obj = json.loads(text)
         return cls(
-            int(obj["w"]),
-            int(obj["h"]),
-            tuple(tuple(int(v) for v in sq) for sq in obj["squares"]),
+            _json_int(obj["w"], "w"),
+            _json_int(obj["h"], "h"),
+            tuple(tuple(_json_int(v, "square component") for v in sq)
+                  for sq in obj["squares"]),
         )
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -41,23 +40,21 @@ P_MAX = 3_037_000_499
 class TradePair:
     """A trade T/T' with index (ell, k); entries are (row, col, base, mate).
 
-    Entries come as a sequence of 4-tuples or as an (n, 4) integer
-    array; the array form is checked and sorted in a few vectorized
-    passes, so bulk constructors use it.  Construction checks
-    well-formedness only (residue ranges, unit ell and k, distinct
-    cells) and normalizes entry order to row-major.  Whether the
+    Entries come as any (n, 4) integer array-like: a sequence of
+    4-tuples, a JSON list of lists or an ndarray.  Construction checks
+    well-formedness only (integer dtype, residue ranges, unit ell and k,
+    distinct cells) and normalizes entry order to row-major.  Whether the
     entries actually form a Latin or orthogonal trade is decided by the
     validators, so partial or broken inputs can still be represented
     and reported on.  ``k`` is None when the orthogonality index is
     unknown (e.g. for a plain difference of squares).
 
-    ``entries`` (a tuple of 4-tuples) and ``array`` (a read-only int64
-    array) are two views of the same trade; whichever the input did not
-    supply is built once, when first read.  Instances are immutable and
-    compare equal whichever form they were built from.
+    ``array`` is the read-only, row-major (size, 4) int64 array of the
+    entries; ``entries`` reads it as a tuple of 4-tuples.  Instances are
+    immutable.
     """
 
-    __slots__ = ("p", "ell", "k", "_entries", "_array")
+    __slots__ = ("p", "ell", "k", "array")
 
     def __init__(self, p: int, ell: int, k: "int | None",
                  entries: "Sequence[Sequence[int]] | np.ndarray"):
@@ -69,15 +66,10 @@ class TradePair:
             raise ValueError(f"ell={ell} is not a unit mod {p}")
         if k is not None and not (1 <= k < p and math.gcd(k, p) == 1):
             raise ValueError(f"k={k} is not a unit mod {p}")
-        if isinstance(entries, np.ndarray):
-            array, entries = _checked_array(p, entries), None
-        else:
-            array, entries = None, _checked_tuples(p, entries)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_array", array)
+        object.__setattr__(self, "array", _checked_array(p, entries))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TradePair is immutable")
@@ -85,11 +77,8 @@ class TradePair:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TradePair):
             return NotImplemented
-        if (self.p, self.ell, self.k) != (other.p, other.ell, other.k):
-            return False
-        if self._entries is not None and other._entries is not None:
-            return self._entries == other._entries
-        return np.array_equal(self.array, other.array)
+        return ((self.p, self.ell, self.k) == (other.p, other.ell, other.k)
+                and np.array_equal(self.array, other.array))
 
     def __hash__(self) -> int:
         return hash((self.p, self.ell, self.k, self.array.tobytes()))
@@ -100,23 +89,11 @@ class TradePair:
     @property
     def entries(self) -> tuple[Entry, ...]:
         """Row-major tuple of (row, col, base, mate) entries."""
-        if self._entries is None:
-            entries = tuple(map(tuple, self._array.tolist()))
-            object.__setattr__(self, "_entries", entries)
-        return self._entries
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only (size, 4) int64 array of the entries, row-major."""
-        if self._array is None:
-            a = np.array(self._entries, dtype=np.int64).reshape(-1, 4)
-            a.flags.writeable = False
-            object.__setattr__(self, "_array", a)
-        return self._array
+        return tuple(map(tuple, self.array.tolist()))
 
     @property
     def size(self) -> int:
-        return len(self._array if self._entries is None else self._entries)
+        return len(self.array)
 
     def rows_used(self) -> tuple[int, ...]:
         return tuple(np.unique(self.array[:, 0]).tolist())
@@ -126,8 +103,7 @@ class TradePair:
             "p": self.p,
             "ell": self.ell,
             "k": self.k,
-            "entries": (self._array.tolist() if self._array is not None
-                        else [list(e) for e in self._entries]),
+            "entries": self.array.tolist(),
         }
         if pretty:
             return json.dumps(obj, indent=2) + "\n"
@@ -140,55 +116,40 @@ class TradePair:
             raise TypeError("a trade document must be a JSON object")
         k = obj.get("k")
         return cls(
-            int(obj["p"]),
-            int(obj["ell"]),
-            None if k is None else int(k),
-            tuple(tuple(int(x) for x in e) for e in obj["entries"]),
+            _json_int(obj["p"], "p"),
+            _json_int(obj["ell"], "ell"),
+            None if k is None else _json_int(k, "k"),
+            obj["entries"],
         )
 
 
-def _checked_tuples(p: int, entries: "Sequence[Sequence[int]]") -> tuple[Entry, ...]:
-    # the clean-tuple fast path keeps small trades (certificates, JSON
-    # documents) off the coercion code
-    out = []
-    for e in entries:
-        if type(e) is tuple and len(e) == 4:
-            r, c, b, m = e
-            if (
-                type(r) is int is type(c) is type(b) is type(m)
-                and 0 <= r < p
-                and 0 <= c < p
-                and 0 <= b < p
-                and 0 <= m < p
-            ):
-                out.append(e)
-                continue
-        e = tuple(int(x) for x in e)
-        if len(e) != 4:
-            raise ValueError(f"entry {e} is not (row, col, base, mate)")
-        if any(not 0 <= x < p for x in e):
-            raise ValueError(f"entry {e} has residues out of range mod {p}")
-        out.append(e)
-    cells = [(r, c) for r, c, _, _ in out]
-    if len(set(cells)) != len(cells):
-        dup = [rc for rc, n in Counter(cells).items() if n > 1][0]
-        raise ValueError(f"duplicate cell {dup}")
-    return tuple(sorted(out))
+def _json_int(value: object, name: str) -> int:
+    """``value`` if it is a JSON integer, else ValueError.
+
+    ``int()`` would truncate 7.9 and accept true or "7".
+    """
+    if type(value) is not int:
+        raise ValueError(f"{name}={value!r} is not an integer")
+    return value
 
 
-def _checked_array(p: int, entries: np.ndarray) -> np.ndarray:
+def _checked_array(p: int, entries: "Sequence[Sequence[int]] | np.ndarray") -> np.ndarray:
     # one pass for the ranges; the cell codes r*p + c then give the
     # row-major order and, once sorted, the duplicates as equal neighbours
-    if entries.ndim != 2 or entries.shape[1] != 4:
+    a = np.asarray(entries)
+    if a.shape == (0,):
+        a = np.empty((0, 4), dtype=np.int64)
+    if a.ndim != 2 or a.shape[1] != 4:
         raise ValueError(
-            f"entries of shape {entries.shape} are not (row, col, base, mate) rows")
-    if entries.dtype.kind not in "iu":
-        raise ValueError(f"entries of dtype {entries.dtype} are not integers")
-    a = np.array(entries, dtype=np.int64)
+            f"entries of shape {a.shape} are not (row, col, base, mate) rows")
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"entries of dtype {a.dtype} are not integers")
     if len(a) and (a.min() < 0 or a.max() >= p):
         i = np.flatnonzero(((a < 0) | (a >= p)).any(axis=1))[0]
         raise ValueError(
             f"entry {tuple(a[i].tolist())} has residues out of range mod {p}")
+    # a copy, so the caller's array cannot change the trade
+    a = a.astype(np.int64)
     code = a[:, 0] * p + a[:, 1]
     if not (code[1:] > code[:-1]).all():
         order = np.argsort(code, kind="stable")

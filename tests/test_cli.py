@@ -1,6 +1,10 @@
+import builtins
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -143,6 +147,28 @@ def test_bad_documents_exit_cleanly(capsys, tmp_path, verb, text, code):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert _invoke(capsys, *verb, "--file", path)[:2] == (code, "")
+
+
+@pytest.mark.parametrize("verb", [("verify", "trade"), ("canon",)])
+def test_non_integral_trade_header_exits_one(capsys, tmp_path, verb):
+    # int() truncated these to p = 7, k = 3, a valid trade
+    doc = json.loads((FIXTURES / "fig1.json").read_text())
+    doc.update(p=7.9, k=3.2)
+    path = tmp_path / "fig1_float.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _invoke(capsys, *verb, "--file", path)
+    assert (code, out) == (1, "")
+    assert "p=7.9 is not an integer" in err
+
+
+def test_non_integral_dissection_exits_one(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "b13_dissect.json").read_text())
+    doc["w"] = 8.0
+    path = tmp_path / "b13_float.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _invoke(capsys, "verify", "dissection", "--file", path)
+    assert (code, out) == (1, "")
+    assert "w=8.0 is not an integer" in err
 
 
 _KEYS = st.sampled_from(["p", "ell", "k", "entries", "w", "h", "squares"]) | st.text(max_size=2)
@@ -361,6 +387,25 @@ def test_spectrum_rejects_malformed_targets(capsys):
     assert "'1..x'" in err
 
 
+@pytest.mark.parametrize(
+    "targets", ["26", "-1", "0,3..26", "-1..4", "0..1000000000", "-1000000000..0"]
+)
+def test_spectrum_targets_bounded_before_expansion(capsys, monkeypatch, targets):
+    # sizes lie in 0..p*p; the bounds are checked before a range is
+    # expanded, and the guard fails fast where a billion-element range
+    # would otherwise be built
+    def bounded_range(*args):
+        span = builtins.range(*args)
+        if len(span) > 26:
+            raise AssertionError(f"expanded {span} unchecked")
+        return span
+
+    monkeypatch.setattr("bptrades.cli.range", bounded_range, raising=False)
+    code, out, err = _invoke(capsys, "search", "spectrum", "--p", 5, f"--targets={targets}")
+    assert (code, out) == (2, "")
+    assert f"--targets element {targets.split(',')[-1]!r} is outside 0..25" in err
+
+
 # -- search rowperm ----------------------------------------------------------------
 
 
@@ -417,6 +462,17 @@ def test_transversal_cap(capsys):
     # the hint must use the flag spelling, not the library keyword
     assert "--force" in err
     assert "force=True" not in err
+
+
+def test_transversal_cap_checked_before_square_is_built(capsys, monkeypatch):
+    # gen_bp(100001) would allocate a p x p int64 array, about 80 GB
+    def gen_bp(*args):
+        raise AssertionError("the square was built")
+
+    monkeypatch.setattr("bptrades.cli.gen_bp", gen_bp)
+    code, out, err = _invoke(capsys, "transversals", "--p", 100001)
+    assert (code, out) == (2, "")
+    assert "order 100001 above the exhaustive cap 13; pass --force to override" in err
 
 
 def test_transversal_histogram_force_bypasses_cap(capsys, monkeypatch):
@@ -519,6 +575,27 @@ def test_help_exits_zero(capsys):
 def test_usage_errors_exit_two(capsys, argv):
     code, _, _ = _invoke(capsys, *argv)
     assert code == 2
+
+
+def test_closed_stdout_exits_without_traceback():
+    # as in `bptrades gen --p 301 | head -c 10`: the ~360 kB document
+    # fills the pipe, and the reader closes it after 10 bytes
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from bptrades.cli import main; main()",
+         "gen", "--p", "301"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 # -- fixtures ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -60,6 +61,21 @@ def test_json_round_trip():
     text = d.to_json()
     assert text.startswith('{"n": 5, "w": 8, "h": 5, "squares":')
     assert SquareDissection.from_json(text) == d
+
+
+@pytest.mark.parametrize("key, value", [("w", 8.0), ("h", 5.5), ("h", True)])
+def test_json_sides_must_be_integers(key, value):
+    obj = json.loads(b13_dissection().to_json())
+    obj[key] = value
+    with pytest.raises(ValueError, match=f"{key}={value!r} is not an integer"):
+        SquareDissection.from_json(json.dumps(obj))
+
+
+def test_json_square_components_must_be_integers():
+    obj = json.loads(b13_dissection().to_json())
+    obj["squares"][3][2] = 1.0
+    with pytest.raises(ValueError, match="square component=1.0 is not an integer"):
+        SquareDissection.from_json(json.dumps(obj))
 
 
 # -- goodness ----------------------------------------------------------------------

@@ -115,6 +115,19 @@ def test_array_constructor_rejects_malformed():
             TradePair(7, 1, 3, np.array(rows))
 
 
+@pytest.mark.parametrize("entries", [
+    ((0.0, 0, 0, 3),),
+    ((0, 0, 0, 3.5),),
+    (("0", 0, 0, 3),),
+    ((True, False, False, True),),
+    [[0, 0, 0, None]],
+])
+def test_non_integer_entries_rejected(entries):
+    # int() would have read these as (0, 0, 0, 3) and (1, 0, 0, 1)
+    with pytest.raises(ValueError, match="not integers"):
+        TradePair(7, 1, 3, entries)
+
+
 def test_modulus_cap_keeps_validator_codes_in_int64():
     # at p = 2^33 + 1 the int64 code line*p + symbol wraps, and a
     # row-balance failure in row 2^33 - 1 would be reported as line 0
@@ -371,3 +384,20 @@ def test_json_key_order_and_null_k():
     assert text.startswith('{"p": 13, "ell": 1, "k": null, "entries":')
     obj = json.loads(FIG1.to_json())
     assert obj["entries"] == sorted(obj["entries"])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("p", 7.9), ("p", 7.0), ("p", "7"), ("ell", True), ("k", 3.2), ("k", False),
+])
+def test_json_header_must_be_integers(key, value):
+    obj = json.loads(FIG1.to_json())
+    obj[key] = value
+    with pytest.raises(ValueError, match=f"{key}={value!r} is not an integer"):
+        TradePair.from_json(json.dumps(obj))
+
+
+def test_json_float_entry_rejected():
+    obj = json.loads(FIG1.to_json())
+    obj["entries"][4][3] = 6.0
+    with pytest.raises(ValueError, match="not integers"):
+        TradePair.from_json(json.dumps(obj))
