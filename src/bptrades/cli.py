@@ -4,6 +4,11 @@ JSON on standard output by default, human-readable tables with
 ``--pretty``.  Exit codes: 0 success, 1 verification or construction
 failed, 2 usage or input error, 3 search budget exhausted before the
 requested work completed (partial JSON is still emitted).
+
+Verbs raise on failure and ``run`` maps the error to its exit code in
+one place: a ``ValueError`` from the library exits with the verb's code
+(1 for ``construct``, ``verify`` and ``canon``, 2 for the others), an
+``OSError`` exits 2, and ``_Fail`` carries its own code.
 """
 
 from __future__ import annotations
@@ -55,9 +60,27 @@ def _print_json(obj) -> None:
     print(json.dumps(obj))
 
 
-def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+class _Fail(Exception):
+    """A failure of the CLI's own: exit ``code`` with the message on stderr."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _load(path: str, reader, what: str):
+    """``reader`` applied to the text at ``path``.  An unreadable or
+    malformed document exits 2, an invalid one 1."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return reader(fh.read())
+    except OSError as exc:
+        raise _Fail(2, f"cannot read {path}: {exc}") from None
+    except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
+        raise _Fail(2, f"malformed {what} document: {exc}") from None
+    except (ValueError, OverflowError) as exc:
+        # UnicodeDecodeError, on text that is not UTF-8, lands here too
+        raise _Fail(1, f"invalid {what}: {exc}") from None
 
 
 def _parse_targets(text: str, p: int) -> frozenset:
@@ -77,17 +100,8 @@ def _parse_targets(text: str, p: int) -> frozenset:
     return frozenset(out)
 
 
-def _cli_error(exc: ValueError) -> None:
-    # library cap messages suggest force=True; the flag spelling applies here
-    print(str(exc).replace("force=True", "--force"), file=sys.stderr)
-
-
 def _cmd_gen(args) -> int:
-    try:
-        square = gen_bp(args.p, args.k)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    square = gen_bp(args.p, args.k)
     if args.pretty:
         print(square.to_text(), end="")
     else:
@@ -102,30 +116,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        text = _read_text(args.file)
-    except OSError as exc:
-        print(f"cannot read {args.file}: {exc}", file=sys.stderr)
-        return 2
     if args.kind == "dissection":
-        try:
-            d = SquareDissection.from_json(text)
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            print(f"malformed dissection document: {exc}", file=sys.stderr)
-            return 2
-        except (ValueError, OverflowError) as exc:
-            print(f"invalid dissection: {exc}", file=sys.stderr)
-            return 1
+        d = _load(args.file, SquareDissection.from_json, "dissection")
         _print_json({"valid": True, "order": d.order, "w": d.w, "h": d.h})
         return 0
-    try:
-        trade = TradePair.from_json(text)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"malformed trade document: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError) as exc:
-        print(f"invalid trade: {exc}", file=sys.stderr)
-        return 1
+    trade = _load(args.file, TradePair.from_json, "trade")
     # trades without a stored mate index only claim Latin validity
     if trade.k is None:
         report = validate_latin_trade(trade)
@@ -150,74 +145,30 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    try:
-        trade = TradePair.from_json(_read_text(args.file))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"cannot read trade: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError) as exc:
-        print(f"invalid trade: {exc}", file=sys.stderr)
-        return 1
-    try:
-        canonical = canonicalize(trade)
-    except ValueError as exc:
-        print(f"not canonicalizable: {exc}", file=sys.stderr)
-        return 1
-    print(canonical.to_json())
+    print(canonicalize(_load(args.file, TradePair.from_json, "trade")).to_json())
     return 0
 
 
 def _cmd_construct(args) -> int:
     if args.shape == "family":
-        try:
-            witness = family_construct(args.p)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
+        witness = family_construct(args.p)
         # extra keys are ignored by from_json, so verify/canon accept this
         doc = json.loads(witness.trade.to_json())
         doc["intercalate"] = {"cells": [list(t) for t in witness.intercalate]}
         _print_json(doc)
-        return 0
-    if args.shape == "threerow":
-        try:
-            got = three_row_trade(args.p)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
+    elif args.shape == "threerow":
+        got = three_row_trade(args.p)
         if got is None:
-            print(
-                f"no three-row trade: p={args.p} is not 1 (mod 6)",
-                file=sys.stderr,
-            )
-            return 1
+            raise _Fail(1, f"no three-row trade: p={args.p} is not 1 (mod 6)")
         sigma, k = got
         print(trade_from_rowperm(sigma, k).to_json())
-        return 0
-    if args.shape == "smalltrade":
-        try:
-            trade = log_trade(args.p)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        print(trade.to_json())
-        return 0
-    # dissection
-    try:
-        d = good_dissection(args.n)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    if args.svg:
-        try:
-            emit_svg(d, args.svg)
-        except OSError as exc:
-            print(f"cannot write {args.svg}: {exc}", file=sys.stderr)
-            return 2
-    if args.trade:
-        print(dissection_to_trade(d).to_json())
+    elif args.shape == "smalltrade":
+        print(log_trade(args.p).to_json())
     else:
-        print(d.to_json())
+        d = good_dissection(args.n)
+        if args.svg:
+            emit_svg(d, args.svg)
+        print((dissection_to_trade(d) if args.trade else d).to_json())
     return 0
 
 
@@ -238,15 +189,11 @@ def _spectrum_payload(res) -> dict:
 
 def _cmd_search(args) -> int:
     if args.what == "spectrum":
-        try:
-            targets = _parse_targets(args.targets, args.p) if args.targets else None
-            if args.k is None:
-                res = spectrum_all(args.p, budget=args.budget, targets=targets)
-            else:
-                res = spectrum(args.p, args.k, budget=args.budget, targets=targets)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        targets = _parse_targets(args.targets, args.p) if args.targets else None
+        if args.k is None:
+            res = spectrum_all(args.p, budget=args.budget, targets=targets)
+        else:
+            res = spectrum(args.p, args.k, budget=args.budget, targets=targets)
         payload = _spectrum_payload(res)
         if args.pretty:
             print(f"p={res.p} sizes: {' '.join(map(str, sorted(res.sizes)))}")
@@ -259,11 +206,7 @@ def _cmd_search(args) -> int:
             return 0
         return 3
     # rowperm
-    try:
-        res = rowperm_sizes(args.p, args.mates, budget=args.budget)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    res = rowperm_sizes(args.p, args.mates, budget=args.budget)
     payload = {
         "p": res.p,
         "mates": res.mates_count,
@@ -285,11 +228,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_transversals(args) -> int:
     if args.histogram:
-        try:
-            hist = diagonal_histogram(args.p, force=args.force)
-        except ValueError as exc:
-            _cli_error(exc)
-            return 2
+        hist = diagonal_histogram(args.p, force=args.force)
         if args.pretty:
             for hits, count in sorted(hist.items()):
                 print(f"{hits:3d} {count}")
@@ -298,13 +237,9 @@ def _cmd_transversals(args) -> int:
                 {"p": args.p, "histogram": {str(h): n for h, n in sorted(hist.items())}}
             )
         return 0
-    try:
-        # before gen_bp, which allocates a p x p array
-        _check_cap(args.p, args.force)
-        n = count_transversals(gen_bp(args.p, args.k), force=args.force)
-    except ValueError as exc:
-        _cli_error(exc)
-        return 2
+    # before gen_bp, which allocates a p x p array
+    _check_cap(args.p, args.force)
+    n = count_transversals(gen_bp(args.p, args.k), force=args.force)
     if args.pretty:
         print(n)
     else:
@@ -314,30 +249,16 @@ def _cmd_transversals(args) -> int:
 
 def _cmd_orthomorphisms(args) -> int:
     if args.min_distance_from is not None:
-        try:
-            d = min_distance_from_linear(
-                args.p, args.min_distance_from, force=args.force
-            )
-        except ValueError as exc:
-            _cli_error(exc)
-            return 2
+        d = min_distance_from_linear(args.p, args.min_distance_from, force=args.force)
         _print_json({"p": args.p, "k": args.min_distance_from, "min_distance": d})
         return 0
-    try:
-        n = sum(1 for _ in enumerate_orthomorphisms(args.p, force=args.force))
-    except ValueError as exc:
-        _cli_error(exc)
-        return 2
+    n = sum(1 for _ in enumerate_orthomorphisms(args.p, force=args.force))
     _print_json({"p": args.p, "count": n})
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    try:
-        b = size_bounds(args.p, args.k)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    b = size_bounds(args.p, args.k)
     payload = {
         "p": args.p,
         "k": args.k,
@@ -387,6 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bptrades",
         description="Orthogonal trades in the cyclic Latin square family.",
     )
+    # the exit code of a ValueError raised by the verb
+    parser.set_defaults(code=2)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_pretty(sp):
@@ -402,13 +325,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("kind", choices=["trade", "dissection"])
     sp.add_argument("--file", required=True)
     add_pretty(sp)
-    sp.set_defaults(func=_cmd_verify)
+    sp.set_defaults(func=_cmd_verify, code=1)
 
     sp = sub.add_parser("canon", help="canonical form of a trade file")
     sp.add_argument("--file", required=True)
-    sp.set_defaults(func=_cmd_canon)
+    sp.set_defaults(func=_cmd_canon, code=1)
 
     sp = sub.add_parser("construct", help="build a trade or dissection")
+    sp.set_defaults(code=1)
     shapes = sp.add_subparsers(dest="shape", required=True)
     for shape, help_text in (
         ("family", "intercalate-free family member (needs p = 1 mod 6)"),
@@ -484,7 +408,19 @@ def run(argv) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Fail as exc:
+        code, message = exc.code, str(exc)
+    except BrokenPipeError:
+        raise  # main() handles a closed stdout
+    except OSError as exc:
+        code, message = 2, str(exc)
+    except ValueError as exc:
+        # library cap messages suggest force=True; the flag spelling applies here
+        code, message = args.code, str(exc).replace("force=True", "--force")
+    print(message, file=sys.stderr)
+    return code
 
 
 def main() -> None:

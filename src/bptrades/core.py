@@ -89,13 +89,23 @@ class Modulus:
         return cls(p, is_prime(p))
 
 
+def _json_int(value: object, name: str) -> int:
+    """``value`` if it is a JSON integer, else ValueError.
+
+    ``int()`` would truncate 7.9 and accept true or "7".
+    """
+    if type(value) is not int:
+        raise ValueError(f"{name}={value!r} is not an integer")
+    return value
+
+
 def _as_modulus(p: "int | Modulus", require_prime: bool = False) -> Modulus:
     if isinstance(p, Modulus):
         mod = p
     else:
         mod = Modulus.of_odd(int(p))
     if require_prime and not mod.prime:
-        raise ValueError(f"modulus {mod.p} must be prime for this operation")
+        raise ValueError(f"p={mod.p} must be prime")
     return mod
 
 
@@ -229,7 +239,10 @@ class Transversal:
     @classmethod
     def from_json(cls, text: str) -> "Transversal":
         obj = json.loads(text)
-        return cls(int(obj["p"]), tuple((int(r), int(c)) for r, c in obj["cells"]))
+        return cls(
+            _json_int(obj["p"], "p"),
+            tuple((_json_int(r, "row"), _json_int(c, "column")) for r, c in obj["cells"]),
+        )
 
 
 def is_transversal(square: LatinSquare, t: Transversal) -> bool:
@@ -268,7 +281,10 @@ class Orthomorphism:
     @classmethod
     def from_json(cls, text: str) -> "Orthomorphism":
         obj = json.loads(text)
-        return cls(int(obj["p"]), tuple(int(x) for x in obj["images"]))
+        return cls(
+            _json_int(obj["p"], "p"),
+            tuple(_json_int(x, "image") for x in obj["images"]),
+        )
 
 
 def orthomorphism_check(phi: Orthomorphism) -> bool:

@@ -22,10 +22,10 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
-from bptrades.core import Modulus, _as_modulus
+from bptrades.core import Modulus, _as_modulus, _json_int
 from bptrades.matrices import balance_matrix
 from bptrades.rowperm import RowPermutation, trade_from_matrix
-from bptrades.trades import TradePair, _json_int, validate_latin_trade
+from bptrades.trades import TradePair, validate_latin_trade
 
 __all__ = [
     "SquareDissection",
@@ -312,29 +312,20 @@ def _wrap_inner(n: int, inner: SquareDissection) -> SquareDissection:
     raise ValueError(f"no good wrapping found for n={n}")
 
 
-def good_dissection(
-    n: int, cache: "dict[int, SquareDissection] | None" = None
-) -> SquareDissection:
+def good_dissection(n: int) -> SquareDissection:
     """Good dissection of n x (n+3) using at most 3 + 5*log4(n+1) squares.
 
     For n <= 14 this is base_dissection.  For n = 4k + z (z in 3..6,
     k >= 3) the dissection for k is doubled and wrapped in at most five
-    squares.  Results are memoized per n in the caller-supplied cache;
-    there is no hidden shared state.
+    squares.
     """
     if n < 3:
         raise ValueError(f"n={n} must be at least 3")
-    if cache is not None and n in cache:
-        return cache[n]
     if n <= 14:
-        d = base_dissection(n)
-    else:
-        z = 3 + (n - 3) % 4
-        k = (n - z) // 4
-        d = _wrap_inner(n, good_dissection(k, cache))
-    if cache is not None:
-        cache[n] = d
-    return d
+        return base_dissection(n)
+    z = 3 + (n - 3) % 4
+    k = (n - z) // 4
+    return _wrap_inner(n, good_dissection(k))
 
 
 # -- conversion to trades ----------------------------------------------------
@@ -422,9 +413,7 @@ def log_trade(p: "int | Modulus") -> TradePair:
     good_dissection((p-3)/2), so the size is at most
     2*(3 + 5*log4((p-1)/2)) + 2.
     """
-    mod = _as_modulus(p)
-    if not mod.prime:
-        raise ValueError(f"p={mod.p} must be prime")
+    mod = _as_modulus(p, require_prime=True)
     if mod.p < 5:
         raise ValueError(f"p={mod.p} admits no symbol-twice trade")
     if mod.p in (5, 7):

@@ -34,9 +34,7 @@ def find_k(p: "int | Modulus") -> int:
     Roots come in pairs k, 1-k, so exactly one representative lands in
     the range; it exists iff p = 1 mod 6.
     """
-    mod = _as_modulus(p)
-    if not mod.prime:
-        raise ValueError(f"p={mod.p} must be prime")
+    mod = _as_modulus(p, require_prime=True)
     p = mod.p
     if p % 6 != 1:
         raise ValueError(f"p={p} is not 1 mod 6; no k with k^2-k+1 = 0 exists")

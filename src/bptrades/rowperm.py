@@ -223,9 +223,7 @@ def three_row_trade(p: "int | Modulus") -> "tuple[RowPermutation, int] | None":
 
     k is the root of k^2 - k + 1 = 0 mod p lying in [2, (p+1)/2].
     """
-    mod = _as_modulus(p)
-    if not mod.prime:
-        raise ValueError(f"p={mod.p} must be prime")
+    mod = _as_modulus(p, require_prime=True)
     p = mod.p
     if p % 6 != 1:
         return None

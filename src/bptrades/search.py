@@ -60,6 +60,7 @@ from bptrades.trades import TradePair, validate_orthogonal_trade
 
 __all__ = [
     "TRANSVERSAL_CAP",
+    "SPECTRUM_P_MAX",
     "SpectrumResult",
     "RowPermSearchResult",
     "enumerate_transversals",
@@ -74,6 +75,13 @@ __all__ = [
 ]
 
 TRANSVERSAL_CAP = 13
+
+# The largest p a spectrum search accepts, budget or not.  Above the cap
+# a budget always runs out, and the symbol-swap fallback then builds
+# about p^3/2 certificate entries, once per mate that spectrum_all
+# enumerates: at p = 31 that takes ~0.4 s for spectrum_all and ~0.03 s
+# for spectrum on a 2-core machine, at p = 61 already 7 s for spectrum_all.
+SPECTRUM_P_MAX = 31
 
 
 class BudgetExpired(Exception):
@@ -249,9 +257,7 @@ def diagonal_histogram(p: "int | Modulus", force: bool = False) -> dict[int, int
     and -r) count.  Checks that the only keys are p itself or values at
     most p - log2(p) - 1.
     """
-    mod = _as_modulus(p)
-    if not mod.prime:
-        raise ValueError(f"p={mod.p} must be prime")
+    mod = _as_modulus(p, require_prime=True)
     p = mod.p
     _check_cap(p, force)
     # shape of a pinned transversal: the sorted nonzero values of delta
@@ -575,6 +581,17 @@ def _cover_search(
     return sizes, certificates, True
 
 
+def _check_spectrum_p(p: int, budget: "float | None") -> None:
+    # before any O(p) work, such as listing the admissible mates
+    if p > TRANSVERSAL_CAP and budget is None:
+        raise ValueError(
+            f"p={p} above the exhaustive cap {TRANSVERSAL_CAP};"
+            " a budget is required above the cap"
+        )
+    if p > SPECTRUM_P_MAX:
+        raise ValueError(f"p={p} above the spectrum ceiling {SPECTRUM_P_MAX}")
+
+
 def spectrum(
     p: "int | Modulus",
     k: int,
@@ -590,16 +607,13 @@ def spectrum(
     which case exhaustive is False.  A budget that expires while the
     transversals are still being enumerated leaves the symbol swaps,
     sizes m*p, which need no search.  Above ``TRANSVERSAL_CAP`` a budget
-    is required: the enumeration alone would not finish.
+    is required: the enumeration alone would not finish.  p above
+    ``SPECTRUM_P_MAX`` is refused.
     """
     mod = _as_modulus(p)
     p = mod.p
-    if p > TRANSVERSAL_CAP and budget is None:
-        raise ValueError(
-            f"p={p} above the exhaustive cap {TRANSVERSAL_CAP};"
-            " a budget is required above the cap"
-        )
-    if k not in admissible_mates(p):
+    _check_spectrum_p(p, budget)
+    if not (1 < k < p and gcd(k, p) == gcd(k - 1, p) == 1):
         raise ValueError(f"k={k} is not an admissible orthogonal mate mod {p}")
     start = time.monotonic()
     deadline = _deadline(budget)
@@ -634,6 +648,7 @@ def spectrum_all(
     """
     mod = _as_modulus(p)
     p = mod.p
+    _check_spectrum_p(p, budget)
     start = time.monotonic()
     deadline = _deadline(budget)
     ks = admissible_mates(p)
@@ -711,9 +726,7 @@ def rowperm_sizes(
     permutations up to affine conjugation; m = p is always present (the
     shifts) and m = p-1 whenever some scaling avoids the mate set.
     """
-    mod = _as_modulus(p)
-    if not mod.prime:
-        raise ValueError(f"p={mod.p} must be prime")
+    mod = _as_modulus(p, require_prime=True)
     p = mod.p
     if p > TRANSVERSAL_CAP:
         raise ValueError(f"p={p} above the exhaustive cap {TRANSVERSAL_CAP}")
@@ -781,9 +794,7 @@ def min_distance_from_linear(p: "int | Modulus", k: int, force: bool = False) ->
     the orbit minimum is p minus the largest frequency (excluding the
     linear map itself, frequency p at 0).
     """
-    mod = _as_modulus(p)
-    if not mod.prime:
-        raise ValueError(f"p={mod.p} must be prime")
+    mod = _as_modulus(p, require_prime=True)
     p = mod.p
     _check_cap(p, force)
     if not 2 <= k <= p - 1:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from bptrades.core import LatinSquare, gen_bp
+from bptrades.core import LatinSquare, _json_int, gen_bp
 
 __all__ = [
     "TradePair",
@@ -121,16 +121,6 @@ class TradePair:
             None if k is None else _json_int(k, "k"),
             obj["entries"],
         )
-
-
-def _json_int(value: object, name: str) -> int:
-    """``value`` if it is a JSON integer, else ValueError.
-
-    ``int()`` would truncate 7.9 and accept true or "7".
-    """
-    if type(value) is not int:
-        raise ValueError(f"{name}={value!r} is not an integer")
-    return value
 
 
 def _checked_array(p: int, entries: "Sequence[Sequence[int]] | np.ndarray") -> np.ndarray:

@@ -30,6 +30,22 @@ def _invoke(capsys, *argv):
     return code, out, err
 
 
+def _main(*argv):
+    """``bptrades.cli.main`` in a subprocess, from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-c", "from bptrades.cli import main; main()", *map(str, argv)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+
+
+# index (ell, k) pairs that validate_orthogonal_trade refuses
+K_EQUALS_ELL = {"p": 7, "ell": 1, "k": 1, "entries": [[0, 0, 0, 1]]}
+NONUNIT_DIFFERENCE = {"p": 9, "ell": 1, "k": 4, "entries": [[0, 0, 0, 1]]}
+
+
 # -- gen ---------------------------------------------------------------------------
 
 
@@ -171,6 +187,20 @@ def test_non_integral_dissection_exits_one(capsys, tmp_path):
     assert "w=8.0 is not an integer" in err
 
 
+@pytest.mark.parametrize("verb", [("verify", "trade"), ("canon",)])
+@pytest.mark.parametrize(
+    "doc, message",
+    [(K_EQUALS_ELL, "index k=1 equals ell"), (NONUNIT_DIFFERENCE, "k-ell=3 is not a unit mod 9")],
+)
+def test_unorthogonal_index_exits_one(capsys, tmp_path, verb, doc, message):
+    # the validator's refusal escaped `verify trade` as a traceback
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _invoke(capsys, *verb, "--file", path)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 _KEYS = st.sampled_from(["p", "ell", "k", "entries", "w", "h", "squares"]) | st.text(max_size=2)
 _SCALARS = (
     st.none()
@@ -184,6 +214,14 @@ _VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
     max_leaves=16,
 )
+# well-formed trade documents with free indices, so the validators run
+_SMALL = st.integers(0, 9)
+_TRADES = st.fixed_dictionaries({
+    "p": st.sampled_from([5, 7, 9]),
+    "ell": _SMALL,
+    "k": st.none() | _SMALL,
+    "entries": st.lists(st.lists(_SMALL, min_size=4, max_size=4), max_size=4),
+})
 
 
 @settings(
@@ -191,7 +229,7 @@ _VALUES = st.recursive(
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(st.dictionaries(_KEYS, _VALUES, max_size=7) | _VALUES)
+@given(st.dictionaries(_KEYS, _VALUES, max_size=7) | _VALUES | _TRADES)
 def test_document_readers_never_raise(tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -309,6 +347,24 @@ def test_construct_dissection_svg(capsys, tmp_path):
     assert first.startswith("<svg")
     _invoke(capsys, "construct", "dissection", "--n", 5, "--svg", path)
     assert path.read_text() == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fixtures", "--dir", "{blocker}/fixtures"),
+        ("fixtures", "--dir", "{tmp}/fixtures", "--data-dir", "{blocker}/data"),
+        ("construct", "dissection", "--n", "5", "--svg", "{blocker}/out.svg"),
+    ],
+)
+def test_unwritable_output_exits_two(capsys, tmp_path, argv):
+    # nothing can be created under a regular file, not even by root
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = [a.format(blocker=blocker, tmp=tmp_path) for a in argv]
+    code, out, err = _invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert str(blocker) in err
 
 
 def test_construct_dissection_rejects_small_frame(capsys):
@@ -580,14 +636,7 @@ def test_usage_errors_exit_two(capsys, argv):
 def test_closed_stdout_exits_without_traceback():
     # as in `bptrades gen --p 301 | head -c 10`: the ~360 kB document
     # fills the pipe, and the reader closes it after 10 bytes
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "from bptrades.cli import main; main()",
-         "gen", "--p", "301"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
+    proc = _main("gen", "--p", "301")
     try:
         assert len(proc.stdout.read(10)) == 10
         proc.stdout.close()
@@ -596,6 +645,27 @@ def test_closed_stdout_exits_without_traceback():
     finally:
         proc.kill()
         proc.stderr.close()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("verify", "trade", "--file", "{doc}"), 1),
+        (("fixtures", "--dir", "{blocker}/fixtures"), 2),
+        (("search", "spectrum", "--p", "11", "--k", "2", "--budget", "0.05"), 3),
+    ],
+)
+def test_failures_exit_without_traceback(tmp_path, argv, code):
+    doc = tmp_path / "k_equals_ell.json"
+    doc.write_text(json.dumps(K_EQUALS_ELL))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    proc = _main(*(a.format(doc=doc, blocker=blocker) for a in argv))
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == code
+    assert b"Traceback" not in err
+    # a failure says why in one line; a spent budget is no failure
+    assert len(err.splitlines()) == (0 if code == 3 else 1)
 
 
 # -- fixtures ----------------------------------------------------------------------

@@ -19,6 +19,10 @@ from bptrades.core import (
     primes_up_to,
     transversal_from_orthomorphism,
 )
+from bptrades.dissect import log_trade
+from bptrades.family16 import find_k
+from bptrades.rowperm import three_row_trade
+from bptrades.search import diagonal_histogram, min_distance_from_linear, rowperm_sizes
 
 
 # -- oracles ---------------------------------------------------------------
@@ -150,6 +154,25 @@ def test_mols_family_requires_prime():
         mols_family(9)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        mols_family,
+        diagonal_histogram,
+        lambda p: rowperm_sizes(p, 1),
+        lambda p: min_distance_from_linear(p, 2),
+        three_row_trade,
+        find_k,
+        log_trade,
+    ],
+    ids=["mols_family", "diagonal_histogram", "rowperm_sizes", "min_distance_from_linear",
+         "three_row_trade", "find_k", "log_trade"],
+)
+def test_prime_only_operations_share_one_check(call):
+    with pytest.raises(ValueError, match=r"^p=9 must be prime$"):
+        call(9)
+
+
 def test_orthogonality_matches_gcd_rule_prime():
     # for prime p: B_p(l) and B_p(k) orthogonal iff gcd(k - l, p) = 1
     p = 7
@@ -203,6 +226,20 @@ def test_transversal_json_round_trip():
     assert Transversal.from_json(t.to_json()) == t
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # int() truncated these to p = 3 and cell (0, 0)
+        ('{"p": 3.9, "cells": [[0, 0], [1, 1], [2, 2]]}', "p=3.9 is not an integer"),
+        ('{"p": 3, "cells": [[0, 0.5], [1, 1], [2, 2]]}', "column=0.5 is not an integer"),
+        ('{"p": 3, "cells": [[true, 0], [1, 1], [2, 2]]}', "row=True is not an integer"),
+    ],
+)
+def test_transversal_from_json_rejects_non_integers(text, message):
+    with pytest.raises(ValueError, match=message):
+        Transversal.from_json(text)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_is_transversal_agrees_with_oracle(p):
     sq = gen_bp(p, 1)
@@ -253,6 +290,18 @@ def test_orthomorphism_distance():
 def test_orthomorphism_json_round_trip():
     phi = Orthomorphism.linear(7, 3)
     assert Orthomorphism.from_json(phi.to_json()) == phi
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"p": 5.2, "images": [0, 2, 4, 1, 3]}', "p=5.2 is not an integer"),
+        ('{"p": 5, "images": [0, 2.0, 4, 1, 3]}', "image=2.0 is not an integer"),
+    ],
+)
+def test_orthomorphism_from_json_rejects_non_integers(text, message):
+    with pytest.raises(ValueError, match=message):
+        Orthomorphism.from_json(text)
 
 
 def test_affine_orthomorphism_example():

@@ -166,27 +166,18 @@ def test_good_dissection_15_doubles_base_3():
 
 @pytest.mark.parametrize("n", list(range(3, 121)) + [311, 1000, 49994])
 def test_good_dissection_invariants(n):
-    cache = {}
-    d = good_dissection(n, cache)
+    d = good_dissection(n)
     assert check_good(d)
     assert d.order <= 3 + 5 * math.log(n + 1, 4)
     if n >= 15:
         # the doubled inner dissection is placed unreflected at (0, h-2k)
         z = 3 + (n - 3) % 4
         k = (n - z) // 4
-        inner = cache[k]
+        inner = good_dissection(k)
         placed = {(2 * x, 2 * y + n - 2 * inner.h, 2 * s)
                   for x, y, s in inner.squares}
         assert placed <= set(d.squares)
         assert all(s % 2 == 0 for _, _, s in placed)
-
-
-def test_good_dissection_cache_chain():
-    cache = {}
-    good_dissection(1000, cache)
-    assert set(cache) == {1000, 249, 61, 14}
-    # memo hit returns the stored object
-    assert good_dissection(1000, cache) is cache[1000]
 
 
 def test_good_dissection_rejects_small_n():

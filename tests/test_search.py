@@ -11,6 +11,7 @@ from bptrades.core import LatinSquare, gen_bp, is_transversal, orthomorphism_che
 from bptrades.matrices import size_bounds
 from bptrades.rowperm import rowperm_orthogonal
 from bptrades.search import (
+    SPECTRUM_P_MAX,
     TRANSVERSAL_CAP,
     _cover_tables,
     _root_representatives,
@@ -549,6 +550,29 @@ def test_spectrum_requires_budget_above_cap(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert "budget is required above the cap" in err
+
+
+def test_spectrum_bounds_checked_before_listing_mates(capsys, monkeypatch):
+    # listing the admissible mates of p = 4,000,037 took 6.5 s and 204 MB
+    # only to refuse it; the mate check is two gcds
+    def admissible_mates(p):
+        raise AssertionError("the admissible mates were listed")
+
+    monkeypatch.setattr("bptrades.search.admissible_mates", admissible_mates)
+    with pytest.raises(ValueError, match="budget is required above the cap"):
+        spectrum_all(17)
+    huge = 4_000_037
+    for search in (lambda: spectrum(huge, 2, budget=1.0), lambda: spectrum_all(huge, budget=1.0)):
+        with pytest.raises(ValueError, match=f"p={huge} above the spectrum ceiling 31"):
+            search()
+    with pytest.raises(ValueError, match="admissible"):
+        spectrum(9, 4)
+    assert spectrum(5, 2).sizes == S5
+    assert run(["search", "spectrum", "--p", str(SPECTRUM_P_MAX + 2), "--budget", "1"]) == 2
+    assert "above the spectrum ceiling" in capsys.readouterr().err
+    # at the ceiling itself the budget runs out and the symbol swaps stand
+    res = spectrum(SPECTRUM_P_MAX, 2, budget=0.0)
+    assert res.sizes == {0} | {SPECTRUM_P_MAX * m for m in range(2, SPECTRUM_P_MAX + 1)}
 
 
 def test_spectrum_targets_stop_early():

@@ -12,3 +12,21 @@ def test_no_assert_in_library(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
+def test_cli_verbs_leave_value_errors_to_run():
+    # run() maps a ValueError to the verb's exit code, in one place
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    verbs = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert verbs
+    caught = [
+        f"{verb.name} at line {handler.lineno}"
+        for verb in verbs
+        for handler in ast.walk(verb)
+        if isinstance(handler, ast.ExceptHandler)
+        and (handler.type is None
+             or {"ValueError", "Exception", "BaseException"}
+             & {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)})
+    ]
+    assert caught == [], f"verbs catch ValueError: {caught}"
