@@ -34,6 +34,14 @@ moved to the front.  The orbit roots are read off the group through
 Row-permutation searches and orthomorphism scans cut the space by the
 affine conjugation symmetry, which preserves support sizes and per-k
 orthogonality; sets of achievable values are unaffected.
+
+The spectrum and row-permutation walks keep one witness per value, the
+first in walk order, and skip a subtree once every value it could still
+produce has one; the distance scan skips a subtree that cannot beat its
+best so far (branch and bound).  A skipped subtree holds no new value
+and no earlier witness, so the results match the full walk's.
+``exhaustive`` therefore proves that every reachable value was
+witnessed, not that every leaf was visited.
 """
 
 from __future__ import annotations
@@ -43,8 +51,8 @@ import time
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from math import gcd, lcm, log2
-from operator import getitem, itemgetter, ne
+from math import gcd, isfinite, lcm, log2
+from operator import getitem, itemgetter, ne, or_
 
 import numpy as np
 
@@ -89,20 +97,27 @@ class BudgetExpired(Exception):
 
 
 def _deadline(budget: "float | None") -> "float | None":
-    return None if budget is None else time.monotonic() + budget
+    # a NaN deadline would never compare as passed, an infinite one never pass
+    if budget is None:
+        return None
+    if not isfinite(budget) or budget < 0:
+        raise ValueError(f"budget={budget} must be a finite number of seconds >= 0")
+    return time.monotonic() + budget
 
 
 # -- the kernel ------------------------------------------------------------------
 
 
-def _backtrack(n, shifts=None, prefix=(), grid=None, deadline=None):
+def _backtrack(n, shifts=None, prefix=(), grid=None, deadline=None, prune=None):
     """Yield every extension of ``prefix`` to a list of n distinct values,
     one per row, in which no symbol repeats; lexicographic order.
 
     With ``grid``, row r gives value c the symbol grid[r][c].  Otherwise
     each shift t in shifts[r] is a constraint of its own, giving value c
-    the symbol (c + t) % n.  The yielded list is reused: copy it to keep
-    it.  Raises BudgetExpired once ``deadline`` has passed.
+    the symbol (c + t) % n.  ``prune(r, cols)`` is called on each descent
+    to a row r the prefix does not fill, with cols[:r] set; when it
+    returns true, row r gets no candidates.  The yielded list is reused:
+    copy it to keep it.  Raises BudgetExpired once ``deadline`` has passed.
     """
     full = (1 << n) - 1
     if grid is None:
@@ -138,7 +153,9 @@ def _backtrack(n, shifts=None, prefix=(), grid=None, deadline=None):
     while True:
         if descend:
             descend = False
-            if grid is None:
+            if prune is not None and prune(r, cols):
+                avail = 0
+            elif grid is None:
                 blocked = used
                 for o in offs[r]:
                     blocked |= seen >> o
@@ -284,7 +301,7 @@ def diagonal_histogram(p: "int | Modulus", force: bool = False) -> dict[int, int
     cutoff = p - log2(p) - 1
     bad = [key for key in hist if key != p and key > cutoff]
     if bad:
-        raise AssertionError(f"diagonal-hit keys {bad} violate the gap bound")
+        raise RuntimeError(f"diagonal-hit keys {bad} violate the gap bound")
     return dict(sorted(hist.items()))
 
 
@@ -298,7 +315,9 @@ class SpectrumResult:
     ``per_k`` maps each admissible k to the sizes found for index (1, k);
     ``via_duality`` lists the k whose entry was copied from its inverse
     via transposition.  ``exhaustive`` is True only when every cover
-    enumeration ran to completion.
+    search ran to completion, so that every reachable size has a
+    certificate; a completed search skips the partial covers whose
+    bound shows they can reach no size not already certified.
     """
 
     p: int
@@ -415,17 +434,9 @@ def _cover_tables(p: int, k: int, deadline: "float | None" = None):
     return masks, by_cell, sorted(roots, key=lambda j: (j != front, j))
 
 
-def _agreement_vector(p: int, mask: int) -> tuple[int, ...]:
-    # a[s] = number of cells (r, c) in the transversal with r + c = s
-    a = [0] * p
-    m = mask
-    while m:
-        low = m & -m
-        cell = low.bit_length() - 1
-        r, c = divmod(cell, p)
-        a[(r + c) % p] += 1
-        m ^= low
-    return tuple(a)
+def _anti_diagonals(p: int) -> list[int]:
+    # the cell bitmask of each anti-diagonal r + c = s, in order of s
+    return [sum(1 << r * p + (s - r) % p for r in range(p)) for s in range(p)]
 
 
 def _labeling_table(p: int, vectors: "list[tuple[int, ...]]") -> list[int]:
@@ -488,7 +499,7 @@ def _symbol_swaps(p: int, k: int):
     """The trades that cycle the symbols 0..m-1 of B_p(1), m = 0, 2..p,
     as a partial spectrum result: they need no search.  The anti-diagonal
     cover, which the cover search tries first, yields the same sizes."""
-    antis = [sum(1 << r * p + (s - r) % p for r in range(p)) for s in range(p)]
+    antis = _anti_diagonals(p)
     certificates = {
         m * p: _certificate(p, k, antis, [(s + 1) % m if s < m else s for s in range(p)])
         for m in (0, *range(2, p + 1))
@@ -507,22 +518,40 @@ def _cover_search(
 ):
     """Exact covers of the grid from each root in turn, each labeled by
     the DP.  Returns the sizes found, a certificate per size and whether
-    every cover was visited."""
+    every reachable size was witnessed.
+
+    Branch and bound: a labeled transversal agrees with its label in at
+    most max(vector) cells, and an uncovered cell in at most one, so a
+    partial cover of ``depth`` transversals whose maxima sum to ``top``
+    leads only to sizes of at least p^2 - top - p*(p - depth).  Its
+    subtree is skipped when every size from there up to p^2 already has
+    a certificate: it could add none, so the sizes and the first
+    certificate of each are those of the full walk.
+    """
     full = (1 << (p * p)) - 1
     sizes: set[int] = set()
     certificates: dict[int, TradePair] = {}
     chosen: list[int] = []
+    # vector(i)[s] = number of cells of transversal i on anti-diagonal s
+    antis = _anti_diagonals(p)
     vector_of: dict[int, tuple[int, ...]] = {}
+    peaks = [-1] * len(masks)  # max(vector(i)), filled on first use
     dp_memo: dict[tuple, int] = {}
     counter = 0
+    # bit a of ``found`` is set once size p^2 - a has a certificate;
+    # ``reach`` is its lowest clear bit, so agreements below it are done
+    found = 0
+    reach = 0
 
     def vector(i: int) -> tuple[int, ...]:
         vec = vector_of.get(i)
         if vec is None:
-            vec = vector_of[i] = _agreement_vector(p, masks[i])
+            mask = masks[i]
+            vec = vector_of[i] = tuple((mask & a).bit_count() for a in antis)
         return vec
 
     def handle_cover():
+        nonlocal found, reach
         vectors = [vector(i) for i in chosen]
         key = tuple(sorted(vectors))
         table = None
@@ -537,6 +566,7 @@ def _cover_search(
                 size = p * p - agreement
                 if size not in sizes:
                     sizes.add(size)
+                    found |= 1 << agreement
                     if table is None:
                         table = _labeling_table(p, vectors)
                     labels = _labels(p, vectors, table, agreement)
@@ -545,37 +575,47 @@ def _cover_search(
                     )
             bits >>= 1
             agreement += 1
+        reach = (~found & (found + 1)).bit_length() - 1
 
     def done() -> bool:
         return targets is not None and targets <= sizes
 
-    def rec(used: int):
+    def rec(used: int, top: int, options: list[int]) -> bool:
+        # extend the partial cover ``chosen`` (cells ``used``) by each
+        # free transversal of ``options`` in turn
         nonlocal counter
         counter += 1
         if counter % 2048 == 0 and deadline is not None:
             if time.monotonic() > deadline:
                 raise BudgetExpired
-        if used == full:
-            handle_cover()
-            return done()
-        pivot = ((~used) & (used + 1)).bit_length() - 1
-        for i in by_cell[pivot]:
+        # a child with top t reaches new sizes only if t + rest >= reach
+        rest = p * (p - len(chosen) - 1)
+        for i in options:
             m = masks[i]
             if m & used:
                 continue
+            t = peaks[i]
+            if t < 0:
+                t = peaks[i] = max(vector(i))
+            t += top
+            if t + rest < reach:
+                continue
             chosen.append(i)
-            stop = rec(used | m)
+            child = used | m
+            if child == full:
+                handle_cover()
+                stop = done()
+            else:
+                # branch on the lowest uncovered cell
+                stop = rec(child, t, by_cell[(~child & (child + 1)).bit_length() - 1])
             chosen.pop()
             if stop:
                 return True
         return False
 
     try:
-        for root in roots:
-            chosen.append(root)
-            if rec(masks[root]):
-                return sizes, certificates, False
-            chosen.pop()
+        if rec(0, 0, roots):
+            return sizes, certificates, False
     except BudgetExpired:
         return sizes, certificates, False
     return sizes, certificates, True
@@ -705,15 +745,56 @@ class RowPermSearchResult:
         return self.m_values - {self.p - 1, self.p}
 
 
-def _sigma_search(p, ks, record, deadline):
-    # exhaustive over sigma with sigma(0) = 1; affine conjugation maps any
-    # permutation with nonempty support to such a representative without
-    # changing the support size or the preserved mate set.  Mate k needs
-    # the values sigma(r) - k*r distinct: the symbols of shift -k*r.
+def _sigma_search(p, ks, record, deadline, witnessed=None):
+    """Call record(m, sigma) for the permutations sigma with sigma(0) = 1
+    that preserve every mate in ``ks``, m being the moved-row count, in
+    lexicographic order.
+
+    Affine conjugation maps any permutation with nonempty support to such
+    a representative without changing the support size or the preserved
+    mate set.  Mate k needs the values sigma(r) - k*r distinct: the
+    symbols of shift -k*r.
+
+    With ``witnessed``, the counts that already have a witness, a subtree
+    is skipped when every count its leaves can reach is witnessed or was
+    recorded in this call.  With rows < r set, a later row r' can still
+    stay fixed only while value r' is unused and, for every mate k, its
+    symbol (1 - k)*r' is unseen; value c in row r rules out row c and the
+    rows (c - k*r) / (1 - k).  So m lies between the moved count so far
+    plus the ruled-out rows >= r, and the moved count plus p - r.
+    """
     shifts = [tuple(-k * r % p for k in ks) for r in range(p)]
     rows = range(p)
-    for sigma in _backtrack(p, shifts, (1,), deadline=deadline):
-        record(sum(map(ne, sigma, rows)), sigma)
+    prune = None
+    if witnessed is not None:
+        have = sum(1 << m for m in witnessed)
+        # rule[r][c]: the rows that value c in row r rules out.  Lane k
+        # has bit x/(1 - k) at x; rotating it right by k*r puts that of
+        # c - k*r at c, as the kernel builds its symbol tables
+        lanes = [[1 << c * pow(1 - k, -1, p) % p for c in range(p)] for k in ks]
+        rule = []
+        for r in rows:
+            ruled = [1 << c for c in range(p)]
+            for k, lane in zip(ks, lanes):
+                t = k * r % p
+                ruled = list(map(or_, ruled, lane[-t:] + lane[:-t]))
+            rule.append(ruled)
+        moved_at = [0] * p
+        out_at = [0] * p
+
+        def prune(r, sigma):
+            c = sigma[r - 1]
+            moved = moved_at[r] = moved_at[r - 1] + (c != r - 1)
+            out = out_at[r] = out_at[r - 1] | rule[r - 1][c]
+            # bits lo..hi: the counts the leaves below can have
+            span = (2 << moved + p - r) - (1 << moved + (out >> r).bit_count())
+            return have & span == span
+
+    for sigma in _backtrack(p, shifts, (1,), deadline=deadline, prune=prune):
+        m = sum(map(ne, sigma, rows))
+        record(m, sigma)
+        if prune is not None:
+            have |= 1 << m
 
 
 def rowperm_sizes(
@@ -743,6 +824,10 @@ def rowperm_sizes(
         if min(K, inv) in seen:
             continue
         seen.add(K)
+        # a pruned walk can be shorter than the kernel's deadline stride
+        if deadline is not None and time.monotonic() > deadline:
+            exhaustive = False
+            break
 
         def record(m, sigma, K=K):
             if m not in witnesses:
@@ -753,7 +838,7 @@ def rowperm_sizes(
                 witnesses[m] = (rp, K)
 
         try:
-            _sigma_search(p, K, record, deadline)
+            _sigma_search(p, K, record, deadline, witnesses)
         except BudgetExpired:
             exhaustive = False
             break
@@ -770,9 +855,9 @@ def rowperm_sizes(
 # -- orthomorphisms --------------------------------------------------------------
 
 
-def _orthomorphism_images(p: int, prefix=()):
+def _orthomorphism_images(p: int, prefix=(), prune=None):
     # the image v of x must be new, and so must v - x: the symbol of shift -x
-    return _backtrack(p, [(-x % p,) for x in range(p)], prefix)
+    return _backtrack(p, [(-x % p,) for x in range(p)], prefix, prune=prune)
 
 
 def enumerate_orthomorphisms(p: "int | Modulus", force: bool = False):
@@ -801,7 +886,25 @@ def min_distance_from_linear(p: "int | Modulus", k: int, force: bool = False) ->
         raise ValueError(f"k={k} out of range 2..{p - 1}")
     linear = [k * x % p for x in range(p)]
     best = p
-    for images in _orthomorphism_images(p, (0,)):
+    # with rows < x set and c_d = #{i < x : theta(i) - k*i = d}, no count
+    # below exceeds max_d c_d + p - x: skip the subtree once that cannot
+    # beat ``best``.  counts[x] packs c_d into bits d*width.., tops[x] is
+    # max_d c_d
+    width = p.bit_length()
+    ones = (1 << width) - 1
+    counts = [0] * p
+    tops = [0] * p
+
+    def prune(x, images):
+        d = (images[x - 1] - linear[x - 1]) % p * width
+        packed = counts[x] = counts[x - 1] + (1 << d)
+        top = tops[x - 1]
+        if packed >> d & ones > top:
+            top += 1
+        tops[x] = top
+        return top + p - x <= p - best
+
+    for images in _orthomorphism_images(p, (0,), prune):
         freq = Counter((v - w) % p for v, w in zip(images, linear))
         for count in freq.values():
             if count != p and p - count < best:

@@ -428,6 +428,23 @@ def test_spectrum_budget_exhaustion_exits_three(capsys):
     assert payload["sizes"]
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("what", [("spectrum", "--p", "17", "--k", "2"),
+                                  ("rowperm", "--p", "13", "--mates", "1")])
+def test_search_rejects_a_budget_that_cannot_expire(capsys, monkeypatch, what, budget):
+    # the refusal comes before any search: a NaN budget used to lift the
+    # cap on p and then never expire
+    def search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr("bptrades.search._cover_tables", search)
+    monkeypatch.setattr("bptrades.search._sigma_search", search)
+    code, out, err = _invoke(capsys, "search", *what, "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert "finite number of seconds" in err
+
+
 def test_spectrum_rejects_inadmissible_mate(capsys):
     code, _, err = _invoke(capsys, "search", "spectrum", "--p", 9, "--k", 3)
     assert code == 2

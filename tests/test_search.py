@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,12 @@ from bptrades.rowperm import rowperm_orthogonal
 from bptrades.search import (
     SPECTRUM_P_MAX,
     TRANSVERSAL_CAP,
+    BudgetExpired,
+    _certificate,
+    _cover_search,
     _cover_tables,
+    _labeling_table,
+    _labels,
     _root_representatives,
     _sigma_search,
     _transversal_columns,
@@ -43,6 +49,9 @@ DIAG_HIST = {
 
 S5 = frozenset({0, 10, 15, 20, 25})
 S7 = frozenset({0, 14, 18, 21}) | frozenset(range(24, 50))
+S9 = frozenset({0, 6, 9, 12, 15, 16}) | frozenset(range(18, 82))
+S11_TARGETS = frozenset({0, 22, 33}) | frozenset(range(36, 122))
+SPECTRUM_9_8_SHA256 = "25aa71fba0604b9c051dde41661dcda12658f56d018c724baec28cd82ff93523"
 
 MIN_DIST = {
     5: {2: 4, 3: 4, 4: 4},
@@ -240,6 +249,108 @@ def _ref_diagonal_histogram(p):
     return dict(sorted(hist.items()))
 
 
+def _ref_agreement_vector(p, mask):
+    # a[s] = number of cells (r, c) in the transversal with r + c = s
+    a = [0] * p
+    m = mask
+    while m:
+        low = m & -m
+        r, c = divmod(low.bit_length() - 1, p)
+        a[(r + c) % p] += 1
+        m ^= low
+    return tuple(a)
+
+
+def _ref_cover_search(p, k, masks, by_cell, roots, deadline, targets):
+    # the cover search before branch and bound: every exact cover from
+    # every root is visited and labeled
+    full = (1 << (p * p)) - 1
+    sizes = set()
+    certificates = {}
+    chosen = []
+    vector_of = {}
+    dp_memo = {}
+    counter = 0
+
+    def vector(i):
+        vec = vector_of.get(i)
+        if vec is None:
+            vec = vector_of[i] = _ref_agreement_vector(p, masks[i])
+        return vec
+
+    def handle_cover():
+        vectors = [vector(i) for i in chosen]
+        key = tuple(sorted(vectors))
+        table = None
+        sums = dp_memo.get(key)
+        if sums is None:
+            table = _labeling_table(p, vectors)
+            sums = dp_memo[key] = table[-1]
+        bits = sums
+        agreement = 0
+        while bits:
+            if bits & 1:
+                size = p * p - agreement
+                if size not in sizes:
+                    sizes.add(size)
+                    if table is None:
+                        table = _labeling_table(p, vectors)
+                    labels = _labels(p, vectors, table, agreement)
+                    certificates[size] = _certificate(
+                        p, k, [masks[i] for i in chosen], labels)
+            bits >>= 1
+            agreement += 1
+
+    def done():
+        return targets is not None and targets <= sizes
+
+    def rec(used):
+        nonlocal counter
+        counter += 1
+        if counter % 2048 == 0 and deadline is not None:
+            if time.monotonic() > deadline:
+                raise BudgetExpired
+        if used == full:
+            handle_cover()
+            return done()
+        pivot = ((~used) & (used + 1)).bit_length() - 1
+        for i in by_cell[pivot]:
+            m = masks[i]
+            if m & used:
+                continue
+            chosen.append(i)
+            stop = rec(used | m)
+            chosen.pop()
+            if stop:
+                return True
+        return False
+
+    try:
+        for root in roots:
+            chosen.append(root)
+            if rec(masks[root]):
+                return sizes, certificates, False
+            chosen.pop()
+    except BudgetExpired:
+        return sizes, certificates, False
+    return sizes, certificates, True
+
+
+def _ref_rowperm_witnesses(p, mates):
+    # the first sigma of each moved-row count over every record of the
+    # reference loop, mate sets in the order rowperm_sizes takes them
+    witnesses = {}
+    seen = set()
+    for K in itertools.combinations(range(2, p), mates):
+        inv = tuple(sorted(pow(k, -1, p) for k in K))
+        if min(K, inv) in seen:
+            continue
+        seen.add(K)
+        for m, sigma in _ref_sigma_records(p, K):
+            witnesses.setdefault(m, (sigma, K))
+    return list(witnesses.items())
+
+
 @pytest.mark.parametrize("p", [5, 7, 9])
 def test_transversals_match_reference_loop(p):
     for k in (k for k in range(1, p) if math.gcd(k, p) == 1):
@@ -311,6 +422,91 @@ def test_relabeled_cyclic_square_counts_through_the_pinned_path():
     assert [t.cells for t in enumerate_transversals(M)] == [
         t.cells for t in enumerate_transversals(L)]
     assert count_transversals(M) == CYCLIC_COUNTS[7]
+
+
+def _spectrum_outputs(res):
+    # everything a spectrum result reports, certificates as their bytes
+    certificates = [(size, cert.to_json()) for size, cert in res.certificates.items()]
+    return res.sizes, res.per_k, res.exhaustive, res.via_duality, certificates
+
+
+def _with_and_without_bound(monkeypatch, search):
+    pruned = _spectrum_outputs(search())
+    with monkeypatch.context() as patch:
+        patch.setattr("bptrades.search._cover_search", _ref_cover_search)
+        unpruned = _spectrum_outputs(search())
+    return pruned, unpruned
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_spectrum_bound_matches_unpruned_search(monkeypatch, p):
+    for k in admissible_mates(p):
+        pruned, unpruned = _with_and_without_bound(monkeypatch, lambda: spectrum(p, k))
+        assert pruned == unpruned, k
+        assert pruned[2]
+    pruned, unpruned = _with_and_without_bound(monkeypatch, lambda: spectrum_all(p))
+    assert pruned == unpruned
+
+
+def test_targeted_spectrum_bound_matches_unpruned_search(monkeypatch):
+    for targets in (S9, S9 - {6, 9, 12, 15, 16}):
+        for k in admissible_mates(9):
+            pruned, unpruned = _with_and_without_bound(
+                monkeypatch, lambda: spectrum(9, k, targets=targets))
+            assert pruned == unpruned, k
+    pruned, unpruned = _with_and_without_bound(
+        monkeypatch, lambda: spectrum_all(11, targets=S11_TARGETS))
+    assert pruned == unpruned
+
+
+def test_cover_bound_keeps_a_cover_that_meets_it():
+    # an order-3 exact-cover instance built from agreement vectors (row
+    # i of a matrix: cells of one part on each anti-diagonal).  The
+    # anti-diagonals give agreements {0, 3, 9} and the second cover
+    # {1, 2, 4, 5}; the third reaches 6 only with every part at its
+    # maximum, 2 + 2 + 2, so its bound equals the lowest agreement still
+    # missing and a bound one too tight loses size 3
+    p = 3
+    anti = [[(r, (s - r) % p) for r in range(p)] for s in range(p)]
+    masks = []
+    for vectors in (((3, 0, 0), (0, 3, 0), (0, 0, 3)),
+                    ((0, 1, 2), (1, 1, 1), (2, 1, 0)),
+                    ((0, 1, 2), (1, 2, 0), (2, 0, 1))):
+        taken = [0] * p
+        for vec in vectors:
+            cells = [cell for s, n in enumerate(vec) for cell in anti[s][taken[s]:taken[s] + n]]
+            masks.append(sum(1 << (r * p + c) for r, c in cells))
+            taken = [t + n for t, n in zip(taken, vec)]
+    by_cell = [[i for i, m in enumerate(masks) if m >> cell & 1] for cell in range(p * p)]
+    roots = [0, 3, 6]
+    pruned = _cover_search(p, 2, masks, by_cell, roots, None, None)
+    unpruned = _ref_cover_search(p, 2, masks, by_cell, roots, None, None)
+    assert pruned[0] == unpruned[0] == {0, 3, 4, 5, 6, 7, 8, 9}
+    assert [(size, cert.to_json()) for size, cert in pruned[1].items()] == [
+        (size, cert.to_json()) for size, cert in unpruned[1].items()]
+    assert pruned[2] and unpruned[2]
+
+
+def test_spectrum_order_nine_certificates_pinned():
+    # sha256 of the 70 certificates of the exhaustive spectrum(9, 8), as
+    # the unpruned cover search found them (about 100 s); the bound
+    # leaves the first certificate of every size where it was
+    res = spectrum(9, 8)
+    assert res.exhaustive
+    assert res.sizes == S9
+    digest = hashlib.sha256()
+    for cert in res.certificates.values():
+        digest.update(cert.to_json().encode() + b"\n")
+    assert digest.hexdigest() == SPECTRUM_9_8_SHA256
+
+
+@pytest.mark.parametrize("mates", range(1, 6))
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_rowperm_witnesses_match_reference(p, mates):
+    res = rowperm_sizes(p, mates)
+    got = [(m, sigma.images, ks) for m, (sigma, ks) in res.witnesses.items()]
+    assert got == [(m, sigma, ks) for m, (sigma, ks) in _ref_rowperm_witnesses(p, mates)]
+    assert res.exhaustive
 
 
 def test_spectrum_json_pinned(capsys):
@@ -575,6 +771,17 @@ def test_spectrum_bounds_checked_before_listing_mates(capsys, monkeypatch):
     assert res.sizes == {0} | {SPECTRUM_P_MAX * m for m in range(2, SPECTRUM_P_MAX + 1)}
 
 
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -1.0])
+def test_budget_must_be_finite_and_non_negative(budget):
+    # a NaN deadline never compares as passed, so it lifted the cap on p
+    # without ever stopping the search
+    for search in (lambda: spectrum(5, 2, budget=budget),
+                   lambda: spectrum_all(5, budget=budget),
+                   lambda: rowperm_sizes(5, 1, budget=budget)):
+        with pytest.raises(ValueError, match="finite number of seconds"):
+            search()
+
+
 def test_spectrum_targets_stop_early():
     targets = frozenset({0, 22, 33})
     res = spectrum(11, 2, targets=targets)
@@ -596,7 +803,8 @@ def test_symbol_swap_sizes_surface_first():
 def test_spectrum_all_order_nine_slow_marker():
     # full order-9 union is exercised in the acceptance suite; here only
     # the plumbing: a tight budget must still report honest partiality
-    res = spectrum_all(9, budget=2.0)
+    # (the bounded exhaust takes only a few seconds, so 2 s left little room)
+    res = spectrum_all(9, budget=0.5)
     assert not res.exhaustive
     assert {0, 81} <= res.sizes
 
@@ -660,7 +868,9 @@ def test_rowperm_rejects_a_witness_that_fails_the_check(monkeypatch):
 
 
 def test_rowperm_budget_expiry():
-    res = rowperm_sizes(13, 1, budget=0.02)
+    # the pruned walk of (13, 1) takes milliseconds, so only a spent
+    # budget stops it: the deadline is checked before each mate set
+    res = rowperm_sizes(13, 1, budget=0)
     assert not res.exhaustive
 
 

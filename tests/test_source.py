@@ -14,6 +14,20 @@ def test_no_assert_in_library(path):
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assertion_error_raised_in_library(path):
+    # invariant checks raise RuntimeError, input checks ValueError;
+    # AssertionError reads as a failed test, not as a library error
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and "AssertionError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+    ]
+    assert lines == [], f"{path.name} raises AssertionError at lines {lines}"
+
+
 def test_cli_verbs_leave_value_errors_to_run():
     # run() maps a ValueError to the verb's exit code, in one place
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
