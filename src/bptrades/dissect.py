@@ -4,10 +4,11 @@ Cutting each square of a dissection along its anti-diagonal, and adding
 two corner triangles, tiles the right triangle with legs w + h.  The
 right-angle vertices of the tiles are cells of a Latin trade in the
 addition table of Z_{w+h}; when the dissection is good, every symbol of
-that trade occurs exactly twice.  Recursing on quartered rectangles
-keeps the square count at O(log n), so for prime p = 2n + 3 this yields
-a trade of size O(log p) whose balance matrix feeds trade_from_matrix
-with k = 2.
+that trade occurs exactly twice.  The good dissections are built in
+closed form: doubling the dissection for a quartered frame and wrapping
+it in at most five squares keeps the square count at O(log n), so for
+prime p = 2n + 3 this yields a trade of size O(log p) whose balance
+matrix feeds trade_from_matrix with k = 2.
 
 Frame: x rightward in [0, w], y upward in [0, h].  The goodness
 conditions treat (0, h) as the distinguished corner, and the two
@@ -41,13 +42,6 @@ __all__ = [
 ]
 
 Square = tuple[int, int, int]
-_Rect = tuple[int, int, int, int]
-
-
-def _overlaps(a: _Rect, b: _Rect) -> bool:
-    ax, ay, aw, ah = a
-    bx, by, bw, bh = b
-    return ax < bx + bw and bx < ax + aw and ay < by + bh and by < ay + ah
 
 
 @dataclass(frozen=True)
@@ -81,7 +75,8 @@ class SquareDissection:
                 raise ValueError(f"square {(x, y, s)} leaves the rectangle")
             area += s * s
         for a, b in itertools.combinations(squares, 2):
-            if _overlaps((a[0], a[1], a[2], a[2]), (b[0], b[1], b[2], b[2])):
+            (ax, ay, sa), (bx, by, sb) = a, b
+            if ax < bx + sb and bx < ax + sa and ay < by + sb and by < ay + sa:
                 raise ValueError(f"squares {a} and {b} overlap")
         if area != self.w * self.h:
             raise ValueError(f"square areas cover {area} of {self.w * self.h}")
@@ -205,119 +200,40 @@ def check_good(d: SquareDissection) -> GoodnessReport:
 # -- constructing good dissections -----------------------------------------------
 
 
-def _free_point(w: int, h: int, obstacles: list[_Rect]) -> "tuple[int, int] | None":
-    # lowest then leftmost uncovered unit cell; its coordinates always lie
-    # on existing right/top edges, so only those need scanning
-    xs = sorted({0, *(x + rw for x, _, rw, _ in obstacles)})
-    ys = sorted({0, *(y + rh for _, y, _, rh in obstacles)})
-    for py in ys:
-        if py >= h:
-            continue
-        for px in xs:
-            if px >= w:
-                continue
-            if not any(
-                x <= px < x + rw and y <= py < y + rh for x, y, rw, rh in obstacles
-            ):
-                return px, py
-    return None
-
-
-def _side_candidates(
-    w: int, h: int, obstacles: list[_Rect], px: int, py: int
-) -> list[int]:
-    # snap distances to rectangle and obstacle edges; feasibility is
-    # downward closed and the max feasible side is itself a snap, so an
-    # ascending scan with early exit finds the full candidate list
-    snaps = {w - px, h - py}
-    for x, y, rw, rh in obstacles:
-        for bound in (x, x + rw):
-            if bound > px:
-                snaps.add(bound - px)
-        for bound in (y, y + rh):
-            if bound > py:
-                snaps.add(bound - py)
-    smax = 0
-    for s in sorted(snaps):
-        if px + s > w or py + s > h:
-            break
-        if any(_overlaps((px, py, s, s), ob) for ob in obstacles):
-            break
-        smax = s
-    return sorted((s for s in snaps if 1 <= s <= smax), reverse=True)
-
-
-def _fill_region(w, h, obstacles, budget):
-    """Yield square tuples completing the cover, trying larger sides first."""
-
-    def rec(obs, placed):
-        pt = _free_point(w, h, obs)
-        if pt is None:
-            yield tuple(placed)
-            return
-        if len(placed) >= budget:
-            return
-        px, py = pt
-        for s in _side_candidates(w, h, obs, px, py):
-            placed.append((px, py, s))
-            obs.append((px, py, s, s))
-            yield from rec(obs, placed)
-            obs.pop()
-            placed.pop()
-
-    yield from rec(list(obstacles), [])
+def _checked_good(d: SquareDissection) -> SquareDissection:
+    report = check_good(d)
+    if not report:
+        raise RuntimeError(
+            f"built {d.w}x{d.h} dissection is not good: {report.failures}")
+    return d
 
 
 def base_dissection(n: int) -> SquareDissection:
     """Good dissection of n x (n+3) for 3 <= n <= 14, at most 8 squares.
 
-    Fixes the n-square at the origin and the 3-square at the far bottom
-    corner, then fills the leftover 3-wide strip greedily; if the greedy
-    fill fails check_good, bounded backtracking tries the remaining
-    strip dissections.
+    The n-square sits at the origin and 3-squares stack up the 3-wide
+    strip beside it.  A remainder n mod 3 of 1 tops the strip with three
+    unit squares; a remainder of 2 with a 2-square and two unit squares
+    stacked on its right.
     """
     if not 3 <= n <= 14:
         raise ValueError(f"n={n} out of range 3..14")
-    w, h = n + 3, n
-    fixed = ((0, 0, n), (n, 0, 3))
-    obstacles = [(0, 0, n, n), (n, 0, 3, 3)]
-    for fill in _fill_region(w, h, obstacles, budget=6):
-        d = SquareDissection(w, h, fixed + fill)
-        if check_good(d):
-            return d
-    raise ValueError(f"no good dissection found for n={n}")
-
-
-def _wrap_inner(n: int, inner: SquareDissection) -> SquareDissection:
-    # place the doubled inner dissection in a corner and pack at most five
-    # squares around it; the top-left corner with no reflection is the
-    # stock layout, the other placements are fallbacks
-    w, h = n + 3, n
-    iw, ih = 2 * inner.w, 2 * inner.h
-    doubled = tuple((2 * x, 2 * y, 2 * s) for x, y, s in inner.squares)
-    for ox, oy in ((0, h - ih), (w - iw, h - ih), (0, 0), (w - iw, 0)):
-        for flip_x, flip_y in itertools.product((False, True), repeat=2):
-            sqs = tuple(
-                (
-                    ox + (iw - x - s if flip_x else x),
-                    oy + (ih - y - s if flip_y else y),
-                    s,
-                )
-                for x, y, s in doubled
-            )
-            for fill in _fill_region(w, h, [(ox, oy, iw, ih)], budget=5):
-                d = SquareDissection(w, h, sqs + fill)
-                if check_good(d):
-                    return d
-    raise ValueError(f"no good wrapping found for n={n}")
+    squares = [(0, 0, n)] + [(n, y, 3) for y in range(0, n - 2, 3)]
+    y = n - n % 3
+    if n % 3 == 1:
+        squares += [(n, y, 1), (n + 1, y, 1), (n + 2, y, 1)]
+    elif n % 3 == 2:
+        squares += [(n, y, 2), (n + 2, y, 1), (n + 2, y + 1, 1)]
+    return _checked_good(SquareDissection(n + 3, n, tuple(squares)))
 
 
 def good_dissection(n: int) -> SquareDissection:
     """Good dissection of n x (n+3) using at most 3 + 5*log4(n+1) squares.
 
     For n <= 14 this is base_dissection.  For n = 4k + z (z in 3..6,
-    k >= 3) the dissection for k is doubled and wrapped in at most five
-    squares.
+    k >= 3) the dissection for k is doubled into the a x (a+6) top-left
+    corner, a = 2k, and wrapped in three squares of sides a+z, a+3 and
+    a+z-3 plus the (6-z) x (z-3) unit squares left between them.
     """
     if n < 3:
         raise ValueError(f"n={n} must be at least 3")
@@ -325,7 +241,12 @@ def good_dissection(n: int) -> SquareDissection:
         return base_dissection(n)
     z = 3 + (n - 3) % 4
     k = (n - z) // 4
-    return _wrap_inner(n, good_dissection(k))
+    a = 2 * k
+    inner = good_dissection(k)
+    squares = [(2 * x, 2 * y + a + z, 2 * s) for x, y, s in inner.squares]
+    squares += [(0, 0, a + z), (a + z, 0, a + 3), (a + 6, a + 3, a + z - 3)]
+    squares += [(x, y, 1) for x in range(a + z, a + 6) for y in range(a + 3, a + z)]
+    return _checked_good(SquareDissection(n + 3, n, tuple(squares)))
 
 
 # -- conversion to trades ----------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bptrades.core import Modulus, _as_modulus, are_orthogonal, gen_bp
-from bptrades.rowperm import sixth_root
+from bptrades.rowperm import find_k
 from bptrades.trades import TradePair, apply_trade, validate_orthogonal_trade
 
 __all__ = ["FamilyWitness", "find_k", "construct", "intercalate_witness"]
@@ -26,19 +26,6 @@ class FamilyWitness:
     k: int
     trade: TradePair
     intercalate: tuple[tuple[int, int, int], ...]
-
-
-def find_k(p: "int | Modulus") -> int:
-    """The root of k^2 - k + 1 = 0 mod p lying in [2, (p+1)/2].
-
-    Roots come in pairs k, 1-k, so exactly one representative lands in
-    the range; it exists iff p = 1 mod 6.
-    """
-    mod = _as_modulus(p, require_prime=True)
-    p = mod.p
-    if p % 6 != 1:
-        raise ValueError(f"p={p} is not 1 mod 6; no k with k^2-k+1 = 0 exists")
-    return sixth_root(p)
 
 
 def _range_cells(p: int, k: int, ranges: list[tuple[int, ...]]) -> np.ndarray:

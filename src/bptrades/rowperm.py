@@ -24,6 +24,7 @@ __all__ = [
     "rowperm_from_symbol",
     "trade_from_matrix",
     "three_row_trade",
+    "find_k",
     "sqrt_mod",
 ]
 
@@ -219,28 +220,26 @@ def sqrt_mod(a: int, p: int) -> "int | None":
 
 
 def three_row_trade(p: "int | Modulus") -> "tuple[RowPermutation, int] | None":
-    """The three-cycle trade (0 -> 1 -> k -> 0), present iff p = 1 mod 6.
-
-    k is the root of k^2 - k + 1 = 0 mod p lying in [2, (p+1)/2].
-    """
-    mod = _as_modulus(p, require_prime=True)
-    p = mod.p
+    """The three-cycle trade (0 -> 1 -> find_k(p) -> 0), present iff p = 1 mod 6."""
+    p = _as_modulus(p, require_prime=True).p
     if p % 6 != 1:
         return None
-    k = sixth_root(p)
+    k = find_k(p)
     sigma = RowPermutation.from_cycle(p, (0, 1, k))
     if not rowperm_orthogonal(sigma, {k}):
         raise RuntimeError(f"three-cycle (0 1 {k}) does not preserve B_{p}({k})")
     return sigma, k
 
 
-def sixth_root(p: int) -> int:
-    """The root of k^2 - k + 1 = 0 mod p lying in [2, (p+1)/2], for a
-    prime p = 1 mod 6.
+def find_k(p: "int | Modulus") -> int:
+    """The root of k^2 - k + 1 = 0 mod p lying in [2, (p+1)/2].
 
     Roots come in pairs k, 1-k, so exactly one representative lands in
-    the range.
+    the range; it exists iff p = 1 mod 6.
     """
+    p = _as_modulus(p, require_prime=True).p
+    if p % 6 != 1:
+        raise ValueError(f"p={p} is not 1 mod 6; no k with k^2-k+1 = 0 exists")
     s = sqrt_mod(-3, p)
     if s is None:
         raise RuntimeError(f"-3 must be a square mod {p} when p = 1 mod 6")

@@ -114,12 +114,19 @@ class TradePair:
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise TypeError("a trade document must be a JSON object")
-        k = obj.get("k")
+        k, entries = obj.get("k"), obj["entries"]
+        # np.asarray reads a boolean among integers as 0 or 1; only a
+        # document with a true or false literal pays for the element pass
+        if ("true" in text or "false" in text) and isinstance(entries, list):
+            for row in entries:
+                if isinstance(row, list) and any(type(v) is bool for v in row):
+                    raise ValueError(
+                        f"entry {json.dumps(row)} holds a boolean, not an integer")
         return cls(
             _json_int(obj["p"], "p"),
             _json_int(obj["ell"], "ell"),
             None if k is None else _json_int(k, "k"),
-            obj["entries"],
+            entries,
         )
 
 

@@ -177,6 +177,18 @@ def test_non_integral_trade_header_exits_one(capsys, tmp_path, verb):
     assert "p=7.9 is not an integer" in err
 
 
+@pytest.mark.parametrize("verb", [("verify", "trade"), ("canon",)])
+def test_boolean_entry_exits_one(capsys, tmp_path, verb):
+    # a false among the integers read as 0, so this verified with exit 0
+    doc = json.loads((FIXTURES / "fig1.json").read_text())
+    doc["entries"][0][0] = False
+    path = tmp_path / "fig1_false.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _invoke(capsys, *verb, "--file", path)
+    assert (code, out) == (1, "")
+    assert "entry [false, 0, 0, 3] holds a boolean" in err
+
+
 def test_non_integral_dissection_exits_one(capsys, tmp_path):
     doc = json.loads((FIXTURES / "b13_dissect.json").read_text())
     doc["w"] = 8.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -183,6 +184,22 @@ def test_good_dissection_invariants(n):
 def test_good_dissection_rejects_small_n():
     with pytest.raises(ValueError):
         good_dissection(2)
+
+
+def test_good_dissections_pinned():
+    # SHA-256 of the JSON of every good_dissection(n), 3 <= n <= 2000
+    text = "\n".join(good_dissection(n).to_json() for n in range(3, 2001))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ca451f17d47ac2dba6c33671af1d487addf3ea21675c69a46a85e71d8140f489")
+
+
+@pytest.mark.parametrize("build, n", [(base_dissection, 5), (good_dissection, 20)])
+def test_built_dissection_that_is_not_good_raises(monkeypatch, build, n):
+    # every built dissection goes through check_good, under -O as well
+    failing = check_good(SquareDissection(2, 2, ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))))
+    monkeypatch.setattr("bptrades.dissect.check_good", lambda d: failing)
+    with pytest.raises(RuntimeError, match="is not good"):
+        build(n)
 
 
 # -- trades from dissections --------------------------------------------------------

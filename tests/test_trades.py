@@ -401,3 +401,13 @@ def test_json_float_entry_rejected():
     obj["entries"][4][3] = 6.0
     with pytest.raises(ValueError, match="not integers"):
         TradePair.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("value", [False, True])
+def test_json_boolean_among_integer_entries_rejected(value):
+    # np.asarray read these as 0 and 1, so fig1 still validated
+    obj = json.loads(FIG1.to_json())
+    obj["entries"][0][0] = value
+    literal = json.dumps(value)
+    with pytest.raises(ValueError, match=rf"entry \[{literal}, 0, 0, 3\] holds a boolean"):
+        TradePair.from_json(json.dumps(obj))
