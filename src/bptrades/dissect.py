@@ -8,7 +8,10 @@ that trade occurs exactly twice.  The good dissections are built in
 closed form: doubling the dissection for a quartered frame and wrapping
 it in at most five squares keeps the square count at O(log n), so for
 prime p = 2n + 3 this yields a trade of size O(log p) whose balance
-matrix feeds trade_from_matrix with k = 2.
+matrix feeds trade_from_matrix with k = 2.  The recursion works on
+plain square lists; only the finished dissection is validated as a
+partition and checked for goodness, once, in time linear in its squares
+apart from the vectorized pairwise overlap test.
 
 Frame: x rightward in [0, w], y upward in [0, h].  The goodness
 conditions treat (0, h) as the distinguished corner, and the two
@@ -23,7 +26,9 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
-from bptrades.core import Modulus, _as_modulus, _json_int
+import numpy as np
+
+from bptrades.core import Modulus, _as_modulus
 from bptrades.matrices import balance_matrix
 from bptrades.rowperm import RowPermutation, trade_from_matrix
 from bptrades.trades import TradePair, validate_latin_trade
@@ -43,14 +48,51 @@ __all__ = [
 
 Square = tuple[int, int, int]
 
+# cells of one block of the pairwise overlap matrix; bounds its memory
+_OVERLAP_BLOCK = 1 << 20
+
+
+def _integer(value: object, name: str) -> int:
+    # Python and numpy integers; int() would truncate 1.9 and accept True
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}={value!r} is not an integer")
+    return int(value)
+
+
+def _first_overlap(squares: tuple[Square, ...], side: int) -> "tuple[int, int] | None":
+    """First pair i < j, in itertools.combinations order, of squares whose
+    interiors meet, or None.  No coordinate exceeds ``side``."""
+    m = len(squares)
+    if m == 0:
+        return None
+    # beyond int64 the comparisons run on Python ints
+    a = np.array(squares, dtype=np.int64 if side < 2**62 else object)
+    x, y = a[:, 0], a[:, 1]
+    x1, y1 = x + a[:, 2], y + a[:, 2]
+    rows = max(1, _OVERLAP_BLOCK // m)
+    for i0 in range(0, m, rows):
+        i = slice(i0, i0 + rows)
+        hit = (
+            (x[i, None] < x1) & (x < x1[i, None])
+            & (y[i, None] < y1) & (y < y1[i, None])
+        )
+        # row r of the block is square i0 + r; keep only partners j > i0 + r
+        first = np.flatnonzero(np.triu(hit, i0 + 1))
+        if first.size:
+            r, j = divmod(int(first[0]), m)
+            return i0 + r, j
+    return None
+
 
 @dataclass(frozen=True)
 class SquareDissection:
     """Integer squares partitioning a w x h rectangle.
 
-    Construction validates the partition: positive sides, containment,
-    pairwise interior-disjointness, and total area w*h.  Squares are
-    stored sorted.
+    ``w``, ``h`` and every square component must be integers (Python or
+    numpy; bool and float are refused).  Construction validates the
+    partition: positive sides, containment, pairwise
+    interior-disjointness, and total area w*h.  Squares are stored
+    sorted as tuples of Python ints.
     """
 
     w: int
@@ -58,11 +100,12 @@ class SquareDissection:
     squares: tuple[Square, ...]
 
     def __post_init__(self) -> None:
-        if self.w < 1 or self.h < 1:
-            raise ValueError(f"rectangle {self.w}x{self.h} is degenerate")
+        w, h = _integer(self.w, "w"), _integer(self.h, "h")
+        if w < 1 or h < 1:
+            raise ValueError(f"rectangle {w}x{h} is degenerate")
         squares = []
         for sq in self.squares:
-            sq = tuple(int(v) for v in sq)
+            sq = tuple(_integer(v, "square component") for v in sq)
             if len(sq) != 3:
                 raise ValueError(f"square {sq} is not (x, y, side)")
             squares.append(sq)
@@ -71,15 +114,17 @@ class SquareDissection:
         for x, y, s in squares:
             if s < 1:
                 raise ValueError(f"square {(x, y, s)} has nonpositive side")
-            if x < 0 or y < 0 or x + s > self.w or y + s > self.h:
+            if x < 0 or y < 0 or x + s > w or y + s > h:
                 raise ValueError(f"square {(x, y, s)} leaves the rectangle")
             area += s * s
-        for a, b in itertools.combinations(squares, 2):
-            (ax, ay, sa), (bx, by, sb) = a, b
-            if ax < bx + sb and bx < ax + sa and ay < by + sb and by < ay + sa:
-                raise ValueError(f"squares {a} and {b} overlap")
-        if area != self.w * self.h:
-            raise ValueError(f"square areas cover {area} of {self.w * self.h}")
+        pair = _first_overlap(squares, max(w, h))
+        if pair is not None:
+            a, b = squares[pair[0]], squares[pair[1]]
+            raise ValueError(f"squares {a} and {b} overlap")
+        if area != w * h:
+            raise ValueError(f"square areas cover {area} of {w * h}")
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "h", h)
         object.__setattr__(self, "squares", squares)
 
     @property
@@ -100,12 +145,7 @@ class SquareDissection:
     @classmethod
     def from_json(cls, text: str) -> "SquareDissection":
         obj = json.loads(text)
-        return cls(
-            _json_int(obj["w"], "w"),
-            _json_int(obj["h"], "h"),
-            tuple(tuple(_json_int(v, "square component") for v in sq)
-                  for sq in obj["squares"]),
-        )
+        return cls(obj["w"], obj["h"], tuple(tuple(sq) for sq in obj["squares"]))
 
 
 @dataclass(frozen=True)
@@ -157,17 +197,18 @@ def check_good(d: SquareDissection) -> GoodnessReport:
     failures: list[tuple[str, str]] = []
     modulus = d.w + d.h
 
-    corners: set[tuple[int, int]] = set()
-    for x, y, s in d.squares:
-        corners.update(((x, y), (x + s, y), (x, y + s), (x + s, y + s)))
+    # in a partition a point touches four squares only as a corner of all four
+    corners = [
+        pt
+        for x, y, s in d.squares
+        for pt in ((x, y), (x + s, y), (x, y + s), (x + s, y + s))
+    ]
+    touching = Counter(corners)
     g1 = True
-    for px, py in sorted(corners):
-        touching = sum(
-            1 for x, y, s in d.squares if x <= px <= x + s and y <= py <= y + s
-        )
-        if touching >= 4:
-            g1 = False
-            failures.append(("g1", f"point ({px}, {py}) touches {touching} squares"))
+    for px, py in sorted(pt for pt, cnt in touching.items() if cnt >= 4):
+        g1 = False
+        failures.append(
+            ("g1", f"point ({px}, {py}) touches {touching[px, py]} squares"))
 
     origin_sq = next(
         ((x, y, s) for x, y, s in d.squares if x == 0 and y + s == d.h), None
@@ -177,11 +218,10 @@ def check_good(d: SquareDissection) -> GoodnessReport:
         failures.append(("g2", f"corner (0, {d.h}) square {origin_sq}"))
 
     g4 = True
-    for x, y, s in d.squares:
-        for px, py in ((x, y), (x + s, y), (x, y + s), (x + s, y + s)):
-            if px + py in (d.h + 1, d.h + 2):
-                g4 = False
-                failures.append(("g4", f"corner ({px}, {py}) on x+y={px + py}"))
+    for px, py in corners:
+        if px + py in (d.h + 1, d.h + 2):
+            g4 = False
+            failures.append(("g4", f"corner ({px}, {py}) on x+y={px + py}"))
 
     vertices = _trade_vertices(d)
     residues = Counter((px + py) % modulus for px, py in vertices)
@@ -208,6 +248,28 @@ def _checked_good(d: SquareDissection) -> SquareDissection:
     return d
 
 
+def _base_squares(n: int) -> list[Square]:
+    squares = [(0, 0, n)] + [(n, y, 3) for y in range(0, n - 2, 3)]
+    y = n - n % 3
+    if n % 3 == 1:
+        squares += [(n, y, 1), (n + 1, y, 1), (n + 2, y, 1)]
+    elif n % 3 == 2:
+        squares += [(n, y, 2), (n + 2, y, 1), (n + 2, y + 1, 1)]
+    return squares
+
+
+def _good_squares(n: int) -> list[Square]:
+    if n <= 14:
+        return _base_squares(n)
+    z = 3 + (n - 3) % 4
+    k = (n - z) // 4
+    a = 2 * k
+    squares = [(2 * x, 2 * y + a + z, 2 * s) for x, y, s in _good_squares(k)]
+    squares += [(0, 0, a + z), (a + z, 0, a + 3), (a + 6, a + 3, a + z - 3)]
+    squares += [(x, y, 1) for x in range(a + z, a + 6) for y in range(a + 3, a + z)]
+    return squares
+
+
 def base_dissection(n: int) -> SquareDissection:
     """Good dissection of n x (n+3) for 3 <= n <= 14, at most 8 squares.
 
@@ -218,13 +280,7 @@ def base_dissection(n: int) -> SquareDissection:
     """
     if not 3 <= n <= 14:
         raise ValueError(f"n={n} out of range 3..14")
-    squares = [(0, 0, n)] + [(n, y, 3) for y in range(0, n - 2, 3)]
-    y = n - n % 3
-    if n % 3 == 1:
-        squares += [(n, y, 1), (n + 1, y, 1), (n + 2, y, 1)]
-    elif n % 3 == 2:
-        squares += [(n, y, 2), (n + 2, y, 1), (n + 2, y + 1, 1)]
-    return _checked_good(SquareDissection(n + 3, n, tuple(squares)))
+    return _checked_good(SquareDissection(n + 3, n, tuple(_base_squares(n))))
 
 
 def good_dissection(n: int) -> SquareDissection:
@@ -233,20 +289,13 @@ def good_dissection(n: int) -> SquareDissection:
     For n <= 14 this is base_dissection.  For n = 4k + z (z in 3..6,
     k >= 3) the dissection for k is doubled into the a x (a+6) top-left
     corner, a = 2k, and wrapped in three squares of sides a+z, a+3 and
-    a+z-3 plus the (6-z) x (z-3) unit squares left between them.
+    a+z-3 plus the (6-z) x (z-3) unit squares left between them.  The
+    intermediate levels are plain square lists; the finished dissection
+    is validated and checked for goodness once.
     """
     if n < 3:
         raise ValueError(f"n={n} must be at least 3")
-    if n <= 14:
-        return base_dissection(n)
-    z = 3 + (n - 3) % 4
-    k = (n - z) // 4
-    a = 2 * k
-    inner = good_dissection(k)
-    squares = [(2 * x, 2 * y + a + z, 2 * s) for x, y, s in inner.squares]
-    squares += [(0, 0, a + z), (a + z, 0, a + 3), (a + 6, a + 3, a + z - 3)]
-    squares += [(x, y, 1) for x in range(a + z, a + 6) for y in range(a + 3, a + z)]
-    return _checked_good(SquareDissection(n + 3, n, tuple(squares)))
+    return _checked_good(SquareDissection(n + 3, n, tuple(_good_squares(n))))
 
 
 # -- conversion to trades ----------------------------------------------------

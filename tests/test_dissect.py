@@ -1,11 +1,17 @@
 import hashlib
+import itertools
 import json
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import bptrades.dissect as dissect
 from bptrades.core import primes_up_to
 from bptrades.dissect import (
+    GoodnessReport,
     SquareDissection,
     base_dissection,
     check_good,
@@ -26,6 +32,101 @@ B13_SQUARES = ((0, 0, 5), (5, 0, 3), (5, 3, 2), (7, 3, 1), (7, 4, 1))
 
 def b13_dissection() -> SquareDissection:
     return SquareDissection(8, 5, B13_SQUARES)
+
+
+# -- reference checks ---------------------------------------------------------------
+
+
+def _ref_partition_error(w, h, squares):
+    # the partition test before the vectorized overlap scan: every pair
+    # of squares in itertools.combinations order; the message or None
+    squares = tuple(sorted(tuple(sq) for sq in squares))
+    area = 0
+    for x, y, s in squares:
+        if s < 1:
+            return f"square {(x, y, s)} has nonpositive side"
+        if x < 0 or y < 0 or x + s > w or y + s > h:
+            return f"square {(x, y, s)} leaves the rectangle"
+        area += s * s
+    for a, b in itertools.combinations(squares, 2):
+        (ax, ay, sa), (bx, by, sb) = a, b
+        if ax < bx + sb and bx < ax + sa and ay < by + sb and by < ay + sa:
+            return f"squares {a} and {b} overlap"
+    if area != w * h:
+        return f"square areas cover {area} of {w * h}"
+    return None
+
+
+def _partition_error(w, h, squares):
+    try:
+        SquareDissection(w, h, tuple(squares))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _ref_check_good(d):
+    # check_good before the corner counter: g1 counts, for every corner,
+    # the squares whose closed extent holds it
+    failures = []
+    modulus = d.w + d.h
+    corners = set()
+    for x, y, s in d.squares:
+        corners.update(((x, y), (x + s, y), (x, y + s), (x + s, y + s)))
+    g1 = True
+    for px, py in sorted(corners):
+        touching = sum(
+            1 for x, y, s in d.squares if x <= px <= x + s and y <= py <= y + s
+        )
+        if touching >= 4:
+            g1 = False
+            failures.append(("g1", f"point ({px}, {py}) touches {touching} squares"))
+    origin_sq = next(
+        ((x, y, s) for x, y, s in d.squares if x == 0 and y + s == d.h), None
+    )
+    g2 = origin_sq is not None and origin_sq[2] >= 3
+    if not g2:
+        failures.append(("g2", f"corner (0, {d.h}) square {origin_sq}"))
+    g4 = True
+    for x, y, s in d.squares:
+        for px, py in ((x, y), (x + s, y), (x, y + s), (x + s, y + s)):
+            if px + py in (d.h + 1, d.h + 2):
+                g4 = False
+                failures.append(("g4", f"corner ({px}, {py}) on x+y={px + py}"))
+    vertices = [pt for x, y, s in d.squares for pt in ((x, y), (x + s, y + s))]
+    vertices += [(d.w, 0), (0, d.h)]
+    residues = Counter((px + py) % modulus for px, py in vertices)
+    pairing = all(cnt == 2 for cnt in residues.values())
+    for res in sorted(r for r, cnt in residues.items() if cnt != 2):
+        failures.append(("pairing", f"residue {res} hit {residues[res]} times"))
+    dup = sorted(pt for pt, cnt in Counter(vertices).items() if cnt > 1)
+    for pt in dup:
+        failures.append(("vertex", f"vertex {pt} reused"))
+    return GoodnessReport(g1, g2, g4, pairing, not dup, tuple(failures))
+
+
+@st.composite
+def split_tilings(draw):
+    # a good dissection or a grid of equal squares, with squares of even
+    # side quartered: each split puts four corners on the split point
+    if draw(st.booleans()):
+        d = good_dissection(draw(st.integers(3, 40)))
+        w, h, squares = d.w, d.h, list(d.squares)
+    else:
+        side = draw(st.sampled_from([2, 4, 8]))
+        cols, rows = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        w, h = cols * side, rows * side
+        squares = [(x * side, y * side, side) for x in range(cols) for y in range(rows)]
+    assume(any(s % 2 == 0 for _, _, s in squares))
+    for _ in range(draw(st.integers(1, 4))):
+        even = [sq for sq in squares if sq[2] % 2 == 0]
+        if not even:
+            break
+        x, y, s = draw(st.sampled_from(even))
+        squares.remove((x, y, s))
+        t = s // 2
+        squares += [(x, y, t), (x + t, y, t), (x, y + t, t), (x + t, y + t, t)]
+    return w, h, squares
 
 
 # -- SquareDissection --------------------------------------------------------------
@@ -55,6 +156,77 @@ def test_rejects_out_of_bounds():
 def test_rejects_nonpositive_side():
     with pytest.raises(ValueError, match="side"):
         SquareDissection(4, 4, ((0, 0, 4), (2, 2, 0)))
+
+
+def test_rejects_non_integer_components():
+    # int() used to turn 1.9 and True into 1 and build four unit squares
+    with pytest.raises(ValueError, match="square component=1.9 is not an integer"):
+        SquareDissection(2, 2, ((0, 0, 1.9), (1, 0, 1), (0, 1, 1), (1, 1, 1)))
+    with pytest.raises(ValueError, match="square component=True is not an integer"):
+        SquareDissection(2, 2, ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, True)))
+    with pytest.raises(ValueError, match="square component=1.0 is not an integer"):
+        SquareDissection(2, 2, ((0, 0, 2.0 - 1.0), (1, 0, 1), (0, 1, 1), (1, 1, 1)))
+    with pytest.raises(ValueError, match="square component=np.True_ is not"):
+        SquareDissection(1, 1, ((0, 0, np.bool_(True)),))
+
+
+@pytest.mark.parametrize("w, h, message", [
+    (8.0, 5, "w=8.0 is not an integer"),
+    (8, 5.5, "h=5.5 is not an integer"),
+    (True, 5, "w=True is not an integer"),
+    ("8", 5, "w='8' is not an integer"),
+])
+def test_rejects_non_integer_sides(w, h, message):
+    with pytest.raises(ValueError, match=message):
+        SquareDissection(w, h, B13_SQUARES)
+
+
+def test_accepts_numpy_integers():
+    squares = tuple(tuple(np.int64(v) for v in sq) for sq in B13_SQUARES)
+    d = SquareDissection(np.int32(8), np.int64(5), squares)
+    assert d == b13_dissection()
+    assert all(type(v) is int for v in (d.w, d.h, *itertools.chain(*d.squares)))
+    assert d.to_json() == b13_dissection().to_json()
+
+
+def test_overlap_reports_first_pair_in_combinations_order():
+    squares = ((0, 0, 2), (1, 1, 2), (0, 2, 1), (2, 0, 1), (1, 0, 1))
+    assert _partition_error(3, 3, squares) == "squares (0, 0, 2) and (1, 0, 1) overlap"
+    assert _partition_error(3, 3, squares) == _ref_partition_error(3, 3, squares)
+
+
+def test_overlap_scan_in_blocks(monkeypatch):
+    # blocks of one and two rows find the same first pair as one block
+    squares = [(x, y, 1) for x in range(6) for y in range(6)]
+    squares[20] = (squares[20][0], squares[20][1] - 1, 1)
+    squares[7] = (4, 5, 1)
+    expected = _ref_partition_error(6, 6, squares)
+    assert "overlap" in expected
+    for cells in (1, 40, 72, 1 << 20):
+        monkeypatch.setattr(dissect, "_OVERLAP_BLOCK", cells)
+        assert _partition_error(6, 6, squares) == expected
+
+
+def test_overlap_beyond_int64():
+    big = 2**70
+    assert SquareDissection(big, big, ((0, 0, big),)).squares == ((0, 0, big),)
+    squares = ((0, 0, big), (big - 1, big - 1, 1))
+    assert _partition_error(big, big, squares) == _ref_partition_error(big, big, squares)
+    assert "overlap" in _partition_error(big, big, squares)
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_tilings(), st.data())
+def test_shifted_square_overlap_matches_reference(tiling, data):
+    w, h, squares = tiling
+    i = data.draw(st.integers(0, len(squares) - 1))
+    x, y, s = squares[i]
+    moved = (data.draw(st.integers(0, w - s)), data.draw(st.integers(0, h - s)), s)
+    assume(moved != squares[i])
+    squares[i] = moved
+    expected = _ref_partition_error(w, h, squares)
+    assert "overlap" in expected
+    assert _partition_error(w, h, squares) == expected
 
 
 def test_json_round_trip():
@@ -118,6 +290,39 @@ def test_corner_on_forbidden_line_fails_g4():
     assert not rep.g4_avoids_lines
     assert not rep.g2_origin_side_ge_3
     assert rep.pairing_ok and rep.vertex_collision_free
+
+
+BAD_TILINGS = [
+    (2, 2, ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))),
+    (5, 2, ((0, 0, 2), (2, 0, 2), (4, 0, 1), (4, 1, 1))),
+    (1, 1, ((0, 0, 1),)),
+    (4, 4, tuple((x, y, 1) for x in range(4) for y in range(4))),
+    (6, 4, ((0, 0, 2), (0, 2, 2), (2, 0, 2), (2, 2, 2), (4, 0, 2), (4, 2, 2))),
+]
+
+
+@pytest.mark.parametrize("w, h, squares", [(8, 5, B13_SQUARES)] + BAD_TILINGS)
+def test_check_good_matches_reference_on_fixtures(w, h, squares):
+    d = SquareDissection(w, h, squares)
+    assert check_good(d) == _ref_check_good(d)
+
+
+def test_check_good_matches_reference_on_good_dissections():
+    for n in range(3, 501):
+        d = good_dissection(n)
+        assert _ref_partition_error(d.w, d.h, d.squares) is None
+        assert check_good(d) == _ref_check_good(d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_tilings())
+def test_check_good_matches_reference_on_split_tilings(tiling):
+    w, h, squares = tiling
+    assert _ref_partition_error(w, h, squares) is None
+    d = SquareDissection(w, h, tuple(squares))
+    rep = check_good(d)
+    assert rep == _ref_check_good(d)
+    assert not rep.g1_oplus_free
 
 
 # -- base and recursive dissections -----------------------------------------------
@@ -200,6 +405,26 @@ def test_built_dissection_that_is_not_good_raises(monkeypatch, build, n):
     monkeypatch.setattr("bptrades.dissect.check_good", lambda d: failing)
     with pytest.raises(RuntimeError, match="is not good"):
         build(n)
+
+
+@pytest.mark.parametrize("n", [3, 20, 50_000])
+def test_good_dissection_builds_and_checks_once(monkeypatch, n):
+    # the recursion runs on square lists; only the result is built and checked
+    calls = Counter()
+    post_init, real_check = SquareDissection.__post_init__, check_good
+
+    def counting_post_init(self):
+        calls["built"] += 1
+        post_init(self)
+
+    def counting_check(d):
+        calls["checked"] += 1
+        return real_check(d)
+
+    monkeypatch.setattr(SquareDissection, "__post_init__", counting_post_init)
+    monkeypatch.setattr("bptrades.dissect.check_good", counting_check)
+    d = good_dissection(n)
+    assert d.h == n and calls == {"built": 1, "checked": 1}
 
 
 # -- trades from dissections --------------------------------------------------------
