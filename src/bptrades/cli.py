@@ -21,13 +21,13 @@ import sys
 from bptrades.core import gen_bp
 from bptrades.dissect import (
     SquareDissection,
+    _trade_of_good,
     base_dissection,
     dissection_svg,
-    dissection_to_trade,
     good_dissection,
     log_trade,
 )
-from bptrades.family16 import construct as family_construct
+from bptrades.family16 import construct as family_construct, find_k
 from bptrades.matrices import size_bounds
 from bptrades.rowperm import RowPermutation, three_row_trade, trade_from_rowperm
 from bptrades.search import (
@@ -48,6 +48,9 @@ from bptrades.trades import (
 )
 
 __all__ = ["run", "main", "emit_svg"]
+
+GEN_P_MAX = 2000  # gen prints p^2 cells: at most 4e6, about 25 MB of JSON
+FAMILY_MAX_ENTRIES = 2_000_000  # 3k(k-1) entries: 443,520 at p = 907; every p < 1600 fits
 
 
 def emit_svg(d: SquareDissection, path: str) -> None:
@@ -101,6 +104,9 @@ def _parse_targets(text: str, p: int) -> frozenset:
 
 
 def _cmd_gen(args) -> int:
+    # before gen_bp, which allocates a p x p array
+    if args.p > GEN_P_MAX:
+        raise ValueError(f"p={args.p} above {GEN_P_MAX}, the largest order gen prints")
     square = gen_bp(args.p, args.k)
     if args.pretty:
         print(square.to_text(), end="")
@@ -151,6 +157,11 @@ def _cmd_canon(args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.shape == "family":
+        # before construct, which allocates 3k(k-1) entries
+        k = find_k(args.p)
+        if 3 * k * (k - 1) > FAMILY_MAX_ENTRIES:
+            raise _Fail(2, f"p={args.p} gives a trade of {3 * k * (k - 1)} entries, "
+                           f"above the cap of {FAMILY_MAX_ENTRIES}")
         witness = family_construct(args.p)
         # extra keys are ignored by from_json, so verify/canon accept this
         doc = json.loads(witness.trade.to_json())
@@ -168,7 +179,8 @@ def _cmd_construct(args) -> int:
         d = good_dissection(args.n)
         if args.svg:
             emit_svg(d, args.svg)
-        print((dissection_to_trade(d) if args.trade else d).to_json())
+        # good_dissection has checked d
+        print((_trade_of_good(d) if args.trade else d).to_json())
     return 0
 
 

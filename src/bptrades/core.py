@@ -77,6 +77,7 @@ class Modulus:
 
     @classmethod
     def of_prime(cls, p: int) -> "Modulus":
+        p = _integer(p, "p")
         if p < 3 or p % 2 == 0 or not is_prime(p):
             raise ValueError(f"modulus {p} is not an odd prime")
         return cls(p, True)
@@ -84,26 +85,23 @@ class Modulus:
     @classmethod
     def of_odd(cls, p: int) -> "Modulus":
         """Admits odd composites; prime-only operations must check .prime."""
+        p = _integer(p, "p")
         if p < 3 or p % 2 == 0:
             raise ValueError(f"modulus {p} must be odd and at least 3")
         return cls(p, is_prime(p))
 
 
-def _json_int(value: object, name: str) -> int:
-    """``value`` if it is a JSON integer, else ValueError.
-
-    ``int()`` would truncate 7.9 and accept true or "7".
-    """
-    if type(value) is not int:
+def _integer(value: object, name: str) -> int:
+    """``value`` as an int if it is a Python or numpy integer, else
+    ValueError: the integer rule of FORMATS.md.  ``int()`` would
+    truncate 7.9 and accept True or "7"."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name}={value!r} is not an integer")
-    return value
+    return int(value)
 
 
 def _as_modulus(p: "int | Modulus", require_prime: bool = False) -> Modulus:
-    if isinstance(p, Modulus):
-        mod = p
-    else:
-        mod = Modulus.of_odd(int(p))
+    mod = p if isinstance(p, Modulus) else Modulus.of_odd(p)
     if require_prime and not mod.prime:
         raise ValueError(f"p={mod.p} must be prime")
     return mod
@@ -112,9 +110,13 @@ def _as_modulus(p: "int | Modulus", require_prime: bool = False) -> Modulus:
 class LatinSquare:
     """Dense Latin square over symbols 0..n-1.
 
-    The Latin property is asserted by the constructor; instances are
-    immutable.  ``label`` records (p, k) when the square was produced as
-    B_p(k), None otherwise.
+    ``LatinSquare(rows)`` and ``from_text`` sort every row and column
+    to check the Latin property.  ``_proved`` skips the sorts where the
+    same call has proved it: in ``gen_bp``, which checks that k is a
+    unit, in ``transpose``, and in ``apply_trade`` after
+    ``validate_latin_trade``.  Instances are immutable.  ``label``
+    records (p, k) when the square was produced as B_p(k), None
+    otherwise.
     """
 
     __slots__ = ("_cells", "order", "label")
@@ -132,9 +134,19 @@ class LatinSquare:
             raise ValueError("rows are not permutations of 0..n-1")
         if not (np.sort(cells, axis=0) == ref[:, None]).all():
             raise ValueError("columns are not permutations of 0..n-1")
+        self._store(cells, label)
+
+    @classmethod
+    def _proved(cls, cells: np.ndarray, label=None) -> "LatinSquare":
+        # an (n, n) int64 array that the caller has proved Latin
+        square = cls.__new__(cls)
+        square._store(cells, label)
+        return square
+
+    def _store(self, cells: np.ndarray, label: "tuple[int, int] | None") -> None:
         cells.flags.writeable = False
         object.__setattr__(self, "_cells", cells)
-        object.__setattr__(self, "order", n)
+        object.__setattr__(self, "order", len(cells))
         object.__setattr__(self, "label", label)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -164,7 +176,7 @@ class LatinSquare:
         return tuple(int(x) for x in self._cells[i])
 
     def transpose(self) -> "LatinSquare":
-        return LatinSquare(self._cells.T)
+        return LatinSquare._proved(self._cells.T)
 
     def to_text(self) -> str:
         lines = [str(self.order)]
@@ -190,15 +202,15 @@ def gen_bp(p: "int | Modulus", k: int) -> LatinSquare:
 
     Requires 1 <= k <= p-1 and gcd(k, p) = 1 (automatic for prime p).
     """
-    mod = _as_modulus(p)
-    n = mod.p
+    n = _as_modulus(p).p
+    k = _integer(k, "k")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} out of range 1..{n - 1}")
     if math.gcd(k, n) != 1:
         raise ValueError(f"k={k} is not a unit mod {n}")
     i = np.arange(n, dtype=np.int64)
     rows = (k * i[:, None] + i[None, :]) % n
-    return LatinSquare(rows, label=(n, k))
+    return LatinSquare._proved(rows, label=(n, k))
 
 
 def are_orthogonal(left: LatinSquare, right: LatinSquare) -> bool:
@@ -240,8 +252,8 @@ class Transversal:
     def from_json(cls, text: str) -> "Transversal":
         obj = json.loads(text)
         return cls(
-            _json_int(obj["p"], "p"),
-            tuple((_json_int(r, "row"), _json_int(c, "column")) for r, c in obj["cells"]),
+            _integer(obj["p"], "p"),
+            tuple((_integer(r, "row"), _integer(c, "column")) for r, c in obj["cells"]),
         )
 
 
@@ -282,8 +294,8 @@ class Orthomorphism:
     def from_json(cls, text: str) -> "Orthomorphism":
         obj = json.loads(text)
         return cls(
-            _json_int(obj["p"], "p"),
-            tuple(_json_int(x, "image") for x in obj["images"]),
+            _integer(obj["p"], "p"),
+            tuple(_integer(x, "image") for x in obj["images"]),
         )
 
 

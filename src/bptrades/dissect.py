@@ -28,7 +28,7 @@ from importlib import resources
 
 import numpy as np
 
-from bptrades.core import Modulus, _as_modulus
+from bptrades.core import Modulus, _as_modulus, _integer
 from bptrades.matrices import balance_matrix
 from bptrades.rowperm import RowPermutation, trade_from_matrix
 from bptrades.trades import TradePair, validate_latin_trade
@@ -50,13 +50,6 @@ Square = tuple[int, int, int]
 
 # cells of one block of the pairwise overlap matrix; bounds its memory
 _OVERLAP_BLOCK = 1 << 20
-
-
-def _integer(value: object, name: str) -> int:
-    # Python and numpy integers; int() would truncate 1.9 and accept True
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name}={value!r} is not an integer")
-    return int(value)
 
 
 def _first_overlap(squares: tuple[Square, ...], side: int) -> "tuple[int, int] | None":
@@ -314,6 +307,11 @@ def dissection_to_trade(d: SquareDissection) -> TradePair:
     report = check_good(d)
     if not report:
         raise ValueError(f"dissection is not good: {report.failures}")
+    return _trade_of_good(d)
+
+
+def _trade_of_good(d: SquareDissection) -> TradePair:
+    # dissection_to_trade for a dissection that check_good has passed
     modulus = d.w + d.h
     entries = []
     for x, y, s in d.squares:
@@ -323,7 +321,7 @@ def dissection_to_trade(d: SquareDissection) -> TradePair:
         )
     entries.append((d.w, 0, d.w % modulus, 0))
     entries.append((0, d.h, d.h % modulus, 0))
-    t = TradePair(modulus, 1, None, tuple(entries))
+    t = TradePair(modulus, 1, None, np.array(entries))
     rep = validate_latin_trade(t)
     if not rep.is_latin_trade:
         raise ValueError(f"dissection trade failed validation: {rep.failures}")
@@ -388,7 +386,7 @@ def log_trade(p: "int | Modulus") -> TradePair:
         raise ValueError(f"p={mod.p} admits no symbol-twice trade")
     if mod.p in (5, 7):
         return _stored_small_trade(mod.p)
-    return dissection_to_trade(good_dissection((mod.p - 3) // 2))
+    return _trade_of_good(good_dissection((mod.p - 3) // 2))
 
 
 def small_rowperm_pipeline(
@@ -447,10 +445,10 @@ def _mate_completions(p: int, cellmap: dict[tuple[int, int], int]):
     def rec(i: int):
         if i == len(row_items):
             if all(col_mate[c] == col_base[c] for c in col_base):
-                entries = tuple(
+                entries = np.array([
                     (r, c, s, assignment[(r, c)])
                     for (r, c), s in cellmap.items()
-                )
+                ])
                 yield TradePair(p, 1, None, entries)
             return
         r, group = row_items[i]

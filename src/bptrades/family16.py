@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bptrades.core import Modulus, _as_modulus, are_orthogonal, gen_bp
+from bptrades.core import Modulus, _as_modulus
 from bptrades.rowperm import find_k
-from bptrades.trades import TradePair, apply_trade, validate_orthogonal_trade
+from bptrades.trades import TradePair, validate_orthogonal_trade
 
 __all__ = ["FamilyWitness", "find_k", "construct", "intercalate_witness"]
 
@@ -92,19 +92,30 @@ def construct(p: "int | Modulus") -> FamilyWitness:
 def intercalate_witness(w: FamilyWitness) -> tuple[tuple[int, int, int], ...]:
     """Check the 2x2 subsquare the trade plants and return its triples.
 
-    The four cells (k-1,1), (k-1,k), (k,1), (k,k) of the traded square
-    must hold 2k, k, k, 2k; the traded square must also stay orthogonal
-    to B_p(k).
+    The trade must have index (1, k) in B_p, with the witness's p and k,
+    and pass validate_orthogonal_trade.  As k - 1 is a unit, that O(size)
+    test equals the dense p^2 test that the traded square is Latin and
+    orthogonal to B_p(k) (see the trades module), so that square is never
+    built.  Its cells (k-1,1), (k-1,k), (k,1), (k,k) must hold 2k, k, k,
+    2k: a binary search finds each in the row-major entries, and a cell
+    the trade does not cover holds its B_p(1) symbol (r + c) mod p.
     """
-    applied = apply_trade(w.trade)
-    for r, c, s in w.intercalate:
-        if applied[r, c] != s:
-            raise ValueError(
-                f"cell ({r},{c}) holds {applied[r, c]}, expected {s}")
+    t, p = w.trade, w.p
+    if (t.p, t.ell, t.k) != (p, 1, w.k):
+        raise ValueError(f"trade of index {(t.p, t.ell, t.k)}, not (p, 1, k) = {(p, 1, w.k)}")
+    report = validate_orthogonal_trade(t)
+    if not report.is_orthogonal_trade:
+        raise ValueError(f"not an orthogonal trade: {report.failures[:3]}")
     (r1, c1, s1), (_, c2, s2), (r2, _, _), _ = w.intercalate
-    if not (s1 != s2 and applied[r1, c1] == applied[r2, c2] == s1
-            and applied[r1, c2] == applied[r2, c1] == s2):
+    cells = ((r1, c1, s1), (r1, c2, s2), (r2, c1, s2), (r2, c2, s1))
+    if s1 == s2 or tuple(map(tuple, w.intercalate)) != cells:
         raise ValueError("witness cells do not form an intercalate")
-    if not are_orthogonal(applied, gen_bp(w.p, w.k)):
-        raise ValueError("traded square lost orthogonality")
+    if not all(0 <= r < p and 0 <= c < p for r, c, _ in cells):
+        raise ValueError(f"witness cells {cells} leave the square")
+    code = t.array[:, 0] * p + t.array[:, 1]
+    for r, c, s in cells:
+        i = int(np.searchsorted(code, r * p + c))
+        held = int(t.array[i, 3]) if i < t.size and code[i] == r * p + c else (r + c) % p
+        if held != s:
+            raise ValueError(f"cell ({r},{c}) holds {held}, expected {s}")
     return w.intercalate

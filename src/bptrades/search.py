@@ -492,7 +492,7 @@ def _certificate(
             if base != s:
                 entries.append((r, c, base, s))
             m ^= low
-    return TradePair(p, 1, k, tuple(entries))
+    return TradePair(p, 1, k, np.array(entries))
 
 
 def _symbol_swaps(p: int, k: int):

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from bptrades.core import LatinSquare, _json_int, gen_bp
+from bptrades.core import LatinSquare, _integer, gen_bp
 
 __all__ = [
     "TradePair",
@@ -42,7 +42,7 @@ class TradePair:
 
     Entries come as any (n, 4) integer array-like: a sequence of
     4-tuples, a JSON list of lists or an ndarray.  Construction checks
-    well-formedness only (integer dtype, residue ranges, unit ell and k,
+    well-formedness only (integers, residue ranges, unit ell and k,
     distinct cells) and normalizes entry order to row-major.  Whether the
     entries actually form a Latin or orthogonal trade is decided by the
     validators, so partial or broken inputs can still be represented
@@ -58,6 +58,8 @@ class TradePair:
 
     def __init__(self, p: int, ell: int, k: "int | None",
                  entries: "Sequence[Sequence[int]] | np.ndarray"):
+        p, ell = _integer(p, "p"), _integer(ell, "ell")
+        k = None if k is None else _integer(k, "k")
         if p < 3 or p % 2 == 0:
             raise ValueError(f"p={p} must be odd and at least 3")
         if p > P_MAX:
@@ -114,20 +116,12 @@ class TradePair:
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise TypeError("a trade document must be a JSON object")
-        k, entries = obj.get("k"), obj["entries"]
-        # np.asarray reads a boolean among integers as 0 or 1; only a
-        # document with a true or false literal pays for the element pass
-        if ("true" in text or "false" in text) and isinstance(entries, list):
-            for row in entries:
-                if isinstance(row, list) and any(type(v) is bool for v in row):
-                    raise ValueError(
-                        f"entry {json.dumps(row)} holds a boolean, not an integer")
-        return cls(
-            _json_int(obj["p"], "p"),
-            _json_int(obj["ell"], "ell"),
-            None if k is None else _json_int(k, "k"),
-            entries,
-        )
+        entries = obj["entries"]
+        # the constructor scans a sequence for booleans; a document
+        # without a true or false literal holds none, so an array skips it
+        if "true" not in text and "false" not in text:
+            entries = np.asarray(entries)
+        return cls(obj["p"], obj["ell"], obj.get("k"), entries)
 
 
 def _checked_array(p: int, entries: "Sequence[Sequence[int]] | np.ndarray") -> np.ndarray:
@@ -141,6 +135,15 @@ def _checked_array(p: int, entries: "Sequence[Sequence[int]] | np.ndarray") -> n
             f"entries of shape {a.shape} are not (row, col, base, mate) rows")
     if a.dtype.kind not in "iu":
         raise ValueError(f"entries of dtype {a.dtype} are not integers")
+    if not isinstance(entries, np.ndarray):
+        # np.asarray reads a boolean among integers as 0 or 1
+        for row in entries:
+            try:
+                for v in row:
+                    _integer(v, "entry component")
+            except ValueError:
+                raise ValueError(f"entry {json.dumps(list(row), default=np.generic.item)}"
+                                 " holds a boolean, not an integer") from None
     if len(a) and (a.min() < 0 or a.max() >= p):
         i = np.flatnonzero(((a < 0) | (a >= p)).any(axis=1))[0]
         raise ValueError(
@@ -310,7 +313,7 @@ def apply_trade(t: TradePair) -> LatinSquare:
     cells = np.array(gen_bp(t.p, t.ell).cells)
     a = t.array
     cells[a[:, 0], a[:, 1]] = a[:, 3]
-    return LatinSquare(cells)
+    return LatinSquare._proved(cells)
 
 
 def difference_trade(L: LatinSquare, M: LatinSquare) -> TradePair:

@@ -11,7 +11,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bptrades.cli import run
 from bptrades.core import gen_bp
-from bptrades.dissect import base_dissection, dissection_to_trade, log_trade
+from bptrades.dissect import (
+    base_dissection,
+    check_good,
+    dissection_to_trade,
+    good_dissection,
+    log_trade,
+)
 from bptrades.family16 import construct as family_construct
 from bptrades.matrices import size_bounds
 from bptrades.rowperm import three_row_trade, trade_from_rowperm
@@ -77,6 +83,18 @@ def test_gen_rejects_nonunit_index(capsys):
     code, _, err = _invoke(capsys, "gen", "--p", 9, "--k", 3)
     assert code == 2
     assert "unit" in err
+
+
+def test_gen_refuses_large_order_before_allocating(capsys, monkeypatch):
+    # B_100001 would be a p^2 int64 array of 80 GB
+    monkeypatch.setattr("bptrades.cli.gen_bp", _never_called)
+    code, out, err = _invoke(capsys, "gen", "--p", 100001)
+    assert (code, out) == (2, "")
+    assert "above 2000" in err
+
+
+def _never_called(*args):
+    raise AssertionError("called past the cap")
 
 
 # -- verify ------------------------------------------------------------------------
@@ -300,6 +318,14 @@ def test_construct_family_unavailable(capsys):
     assert err
 
 
+def test_construct_family_refuses_large_trade_before_building(capsys, monkeypatch):
+    # k = 23560 at p = 99991: 1.7e9 entries
+    monkeypatch.setattr("bptrades.cli.family_construct", _never_called)
+    code, out, err = _invoke(capsys, "construct", "family", "--p", 99991)
+    assert (code, out) == (2, "")
+    assert "1665150120 entries" in err
+
+
 def test_construct_threerow(capsys):
     code, out, _ = _invoke(capsys, "construct", "threerow", "--p", 7)
     assert code == 0
@@ -347,6 +373,15 @@ def test_construct_dissection_trade(capsys):
     code, out, _ = _invoke(capsys, "construct", "dissection", "--n", 5, "--trade")
     assert code == 0
     assert out.strip() == dissection_to_trade(base_dissection(5)).to_json()
+
+
+def test_construct_dissection_trade_checks_once(capsys, monkeypatch):
+    real_check, calls = check_good, []
+    monkeypatch.setattr("bptrades.dissect.check_good",
+                        lambda d: calls.append(d) or real_check(d))
+    code, out, _ = _invoke(capsys, "construct", "dissection", "--n", 20, "--trade")
+    assert (code, len(calls)) == (0, 1)
+    assert out.strip() == dissection_to_trade(good_dissection(20)).to_json()
 
 
 def test_construct_dissection_svg(capsys, tmp_path):

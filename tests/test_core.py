@@ -20,9 +20,12 @@ from bptrades.core import (
     transversal_from_orthomorphism,
 )
 from bptrades.dissect import log_trade
-from bptrades.family16 import find_k
+from bptrades.family16 import construct, find_k
 from bptrades.rowperm import three_row_trade
 from bptrades.search import diagonal_histogram, min_distance_from_linear, rowperm_sizes
+from bptrades.trades import TradePair
+
+from test_trades import FIG1, FIG1_ENTRIES
 
 
 # -- oracles ---------------------------------------------------------------
@@ -82,6 +85,42 @@ def test_modulus_odd_constructor_admits_composite():
         Modulus.of_odd(8)
 
 
+# -- the integer rule ------------------------------------------------------
+
+FIG1_FALSE_ROW = ((False, 0, 0, 3),) + FIG1_ENTRIES[1:]
+
+
+@pytest.mark.parametrize("call, message", [
+    # each was accepted before (gen_bp(7.9, 2) built B_7(2)) or raised TypeError
+    (lambda: gen_bp(7.9, 2), "p=7.9 is not an integer"),
+    (lambda: gen_bp(7, True), "k=True is not an integer"),
+    (lambda: construct(7.9), "p=7.9 is not an integer"),
+    (lambda: Modulus.of_prime(7.0), "p=7.0 is not an integer"),
+    (lambda: TradePair(7, True, 3, FIG1_ENTRIES), "ell=True is not an integer"),
+    (lambda: TradePair(7, 1, np.bool_(True), FIG1_ENTRIES), "k=np.True_ is not"),
+    (lambda: TradePair("7", 1, 3, FIG1_ENTRIES), "p='7' is not an integer"),
+    (lambda: TradePair(7, 1, 3, FIG1_FALSE_ROW),
+     r"entry \[false, 0, 0, 3\] holds a boolean"),
+    (lambda: TradePair(7, 1, 3, [[np.True_, np.int64(0), 0, 3]]),
+     r"entry \[true, 0, 0, 3\] holds a boolean"),
+])
+def test_integer_rule_refuses_non_integers(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_integer_rule_accepts_numpy_integers():
+    sq = gen_bp(np.int64(7), np.int32(3))
+    assert sq == gen_bp(7, 3)
+    assert sq.label == (7, 3) and all(type(v) is int for v in sq.label)
+    assert Modulus.of_prime(np.int16(13)) == Modulus(13, True)
+    assert construct(np.int64(13)).trade == construct(13).trade
+    rows = tuple(tuple(np.int64(v) for v in e) for e in FIG1_ENTRIES)
+    t = TradePair(np.int64(7), np.uint8(1), np.int32(3), rows)
+    assert t == FIG1
+    assert t.to_json() == FIG1.to_json()
+
+
 # -- LatinSquare -----------------------------------------------------------
 
 
@@ -100,6 +139,22 @@ def test_latin_square_is_immutable():
         sq.cells[0, 0] = 3
     with pytest.raises(AttributeError):
         sq.order = 7
+
+
+@pytest.mark.parametrize("n", range(3, 32, 2))
+def test_trusted_squares_equal_checked_ones(n):
+    # gen_bp and transpose skip the Latin check; LatinSquare(rows) makes it
+    for k in (k for k in range(1, n) if math.gcd(k, n) == 1):
+        rows = [[(k * i + j) % n for j in range(n)] for i in range(n)]
+        sq = gen_bp(n, k)
+        assert sq == LatinSquare(rows) and sq.label == (n, k)
+        tr = sq.transpose()
+        assert tr == LatinSquare([list(col) for col in zip(*rows)])
+        assert tr.label is None
+        for square in (sq, tr):
+            assert not square.cells.flags.writeable
+            with pytest.raises(ValueError):
+                square.cells[0, 0] = 1
 
 
 def test_text_round_trip():

@@ -427,6 +427,22 @@ def test_good_dissection_builds_and_checks_once(monkeypatch, n):
     assert d.h == n and calls == {"built": 1, "checked": 1}
 
 
+@pytest.mark.parametrize("p", [11, 101, 10007])
+def test_log_trade_checks_once(monkeypatch, p):
+    # good_dissection checks the dissection; the trade is read off it unchecked
+    calls = Counter()
+    real_check = check_good
+
+    def counting_check(d):
+        calls["checked"] += 1
+        return real_check(d)
+
+    monkeypatch.setattr("bptrades.dissect.check_good", counting_check)
+    t = log_trade(p)
+    assert calls == {"checked": 1}
+    assert t == dissection_to_trade(good_dissection((p - 3) // 2))
+
+
 # -- trades from dissections --------------------------------------------------------
 
 

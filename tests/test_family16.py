@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from bptrades.core import gen_bp, primes_up_to
+from bptrades.core import are_orthogonal, gen_bp, primes_up_to
 from bptrades.family16 import FamilyWitness, construct, find_k, intercalate_witness
-from bptrades.trades import apply_trade, validate_orthogonal_trade
+from bptrades.trades import TradePair, apply_trade, validate_orthogonal_trade
 
 from test_trades import FIG1, FIG1_ENTRIES
 
@@ -164,4 +164,57 @@ def test_witness_mismatch_detected():
     broken = FamilyWitness(w.p, w.k, w.trade,
                            ((2, 1, 5), (2, 3, 3), (3, 1, 3), (3, 3, 6)))
     with pytest.raises(ValueError):
+        intercalate_witness(broken)
+
+
+def _intercalate_reference(w: FamilyWitness) -> tuple:
+    """intercalate_witness on the dense traded square: apply the trade,
+    read the cells and compare all p^2 pairs against B_p(k)."""
+    applied = apply_trade(w.trade)
+    for r, c, s in w.intercalate:
+        if applied[r, c] != s:
+            raise ValueError(f"cell ({r},{c}) holds {applied[r, c]}, expected {s}")
+    (r1, c1, s1), (_, c2, s2), (r2, _, _), _ = w.intercalate
+    if not (s1 != s2 and applied[r1, c1] == applied[r2, c2] == s1
+            and applied[r1, c2] == applied[r2, c1] == s2):
+        raise ValueError("witness cells do not form an intercalate")
+    if not are_orthogonal(applied, gen_bp(w.p, w.k)):
+        raise ValueError("traded square lost orthogonality")
+    return w.intercalate
+
+
+@pytest.mark.parametrize("p", [p for p in primes_up_to(211) if p % 6 == 1])
+def test_intercalate_matches_dense_reference(p):
+    w = construct(p)
+    assert intercalate_witness(w) == _intercalate_reference(w)
+
+
+@pytest.mark.parametrize("p", [7, 13, 31])
+def test_witness_with_other_index_rejected(p):
+    # the same entries labelled with the other root 1 - k of k^2 - k + 1
+    w = construct(p)
+    t = TradePair(p, 1, (1 - w.k) % p, w.trade.array)
+    with pytest.raises(ValueError, match="index"):
+        intercalate_witness(FamilyWitness(p, w.k, t, w.intercalate))
+
+
+@pytest.mark.parametrize("p", [7, 13, 31])
+def test_witness_with_changed_mate_rejected(p):
+    w = construct(p)
+    a = w.trade.array.copy()
+    a[5, 3] = (a[5, 3] + 1) % p
+    if a[5, 3] == a[5, 2]:
+        a[5, 3] = (a[5, 3] + 1) % p
+    broken = FamilyWitness(p, w.k, TradePair(p, 1, w.k, a), w.intercalate)
+    for check in (_intercalate_reference, intercalate_witness):
+        with pytest.raises(ValueError):
+            check(broken)
+
+
+def test_witness_cell_outside_square_rejected():
+    # (r - 1, c + p) has the code of (r, c) in the row-major entries
+    w = construct(13)
+    moved = tuple((r - 1, c + 13, s) for r, c, s in w.intercalate)
+    broken = FamilyWitness(13, w.k, w.trade, moved)
+    with pytest.raises(ValueError, match="leave the square"):
         intercalate_witness(broken)
