@@ -14,6 +14,7 @@ one place: a ``ValueError`` from the library exits with the verb's code
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -163,10 +164,11 @@ def _cmd_construct(args) -> int:
             raise _Fail(2, f"p={args.p} gives a trade of {3 * k * (k - 1)} entries, "
                            f"above the cap of {FAMILY_MAX_ENTRIES}")
         witness = family_construct(args.p)
-        # extra keys are ignored by from_json, so verify/canon accept this
-        doc = json.loads(witness.trade.to_json())
-        doc["intercalate"] = {"cells": [list(t) for t in witness.intercalate]}
-        _print_json(doc)
+        # extra keys are ignored by from_json, so verify/canon accept this;
+        # the key goes before the document's closing brace, which gives the
+        # bytes of json.dumps on the extended object without a reparse
+        intercalate = json.dumps({"cells": [list(t) for t in witness.intercalate]})
+        print(f'{witness.trade.to_json()[:-1]}, "intercalate": {intercalate}}}')
     elif args.shape == "threerow":
         got = three_row_trade(args.p)
         if got is None:
@@ -315,7 +317,10 @@ def _cmd_fixtures(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args fills a fresh namespace on every
+    # call and leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="bptrades",
         description="Orthogonal trades in the cyclic Latin square family.",

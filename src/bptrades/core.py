@@ -114,9 +114,10 @@ class LatinSquare:
     to check the Latin property.  ``_proved`` skips the sorts where the
     same call has proved it: in ``gen_bp``, which checks that k is a
     unit, in ``transpose``, and in ``apply_trade`` after
-    ``validate_latin_trade``.  Instances are immutable.  ``label``
-    records (p, k) when the square was produced as B_p(k), None
-    otherwise.
+    ``validate_latin_trade``.  Instances are immutable; copies and
+    pickles rebuild the square through the checked constructor, keeping
+    its label.  ``label`` records (p, k) when the square was produced as
+    B_p(k), None otherwise.
     """
 
     __slots__ = ("_cells", "order", "label")
@@ -148,6 +149,9 @@ class LatinSquare:
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "order", len(cells))
         object.__setattr__(self, "label", label)
+
+    def __reduce__(self):
+        return LatinSquare, (self._cells, self.label)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LatinSquare is immutable")

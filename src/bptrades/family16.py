@@ -28,20 +28,21 @@ class FamilyWitness:
     intercalate: tuple[tuple[int, int, int], ...]
 
 
-def _range_cells(p: int, k: int, ranges: list[tuple[int, ...]]) -> np.ndarray:
-    """(row, col, symbol) rows for column ranges given as (i, row, lo, hi, shift).
+def _range_cells(p: int, k: int, ranges: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
+    """Row-major (rows, cols, symbols) of column ranges (i, row, lo, hi, shift).
 
     A range covers the cells (i(k-1) + row, j) for lo <= j < hi, holding
-    i(k-1) + j + shift, all mod p; a range with hi <= lo is empty.
+    i(k-1) + j + shift, all mod p; a range with hi <= lo is empty.  The
+    ranges of a row are disjoint, so ordering them by (row, lo) orders
+    their cells.
     """
     i, row, lo, hi, shift = np.array(ranges, dtype=np.int64).T
+    row = (i * (k - 1) + row) % p
+    order = np.lexsort((lo, row))
+    row, lo, hi, shift = row[order], lo[order], hi[order], (i * (k - 1) + shift)[order]
     n = np.maximum(hi - lo, 0)
     j = np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
-    return np.column_stack((
-        np.repeat((i * (k - 1) + row) % p, n),
-        j,
-        (j + np.repeat(i * (k - 1) + shift, n)) % p,
-    ))
+    return np.repeat(row, n), j, (j + np.repeat(shift, n)) % p
 
 
 def construct(p: "int | Modulus") -> FamilyWitness:
@@ -68,13 +69,13 @@ def construct(p: "int | Modulus") -> FamilyWitness:
             (i, 1, i, k, 0),
             (i, 1, k, k + i - 1, 1 - k),
         ]
-    base, mate = _range_cells(p, k, base), _range_cells(p, k, mate)
-    base_code, mate_code = base[:, 0] * p + base[:, 1], mate[:, 0] * p + mate[:, 1]
-    base_order, mate_order = np.argsort(base_code), np.argsort(mate_code)
-    if not np.array_equal(base_code[base_order], mate_code[mate_order]):
+    (rows, cols, symbols), (mate_rows, mate_cols, mates) = (
+        _range_cells(p, k, base), _range_cells(p, k, mate))
+    if not (np.array_equal(rows, mate_rows) and np.array_equal(cols, mate_cols)):
         raise ValueError("base and mate cell sets differ; construction bug")
-    trade = TradePair(p, 1, k, np.column_stack(
-        (base[base_order], mate[mate_order, 2])))
+    entries = np.empty((len(rows), 4), dtype=np.int64)
+    entries[:, 0], entries[:, 1], entries[:, 2], entries[:, 3] = rows, cols, symbols, mates
+    trade = TradePair(p, 1, k, entries)
     if trade.size != 3 * k * (k - 1):
         raise ValueError(f"size {trade.size} != 3k(k-1) = {3 * k * (k - 1)}")
     report = validate_orthogonal_trade(trade)

@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -51,10 +52,13 @@ class TradePair:
 
     ``array`` is the read-only, row-major (size, 4) int64 array of the
     entries; ``entries`` reads it as a tuple of 4-tuples.  Instances are
-    immutable.
+    immutable, down to the array's data, so each validator computes its
+    report once per trade and returns the stored report afterwards.
+    Copies and pickles rebuild the trade through the constructor, without
+    the stored reports.
     """
 
-    __slots__ = ("p", "ell", "k", "array")
+    __slots__ = ("p", "ell", "k", "array", "_reports")
 
     def __init__(self, p: int, ell: int, k: "int | None",
                  entries: "Sequence[Sequence[int]] | np.ndarray"):
@@ -72,6 +76,10 @@ class TradePair:
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "array", _checked_array(p, entries))
+        object.__setattr__(self, "_reports", {})
+
+    def __reduce__(self):
+        return TradePair, (self.p, self.ell, self.k, self.array)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TradePair is immutable")
@@ -157,8 +165,10 @@ def _checked_array(p: int, entries: "Sequence[Sequence[int]] | np.ndarray") -> n
         dup = np.flatnonzero(code[1:] == code[:-1])
         if len(dup):
             raise ValueError(f"duplicate cell {tuple(a[dup[0], :2].tolist())}")
+    # a read-only view of a read-only base: the view's flag cannot be
+    # set back, so the data of a trade never changes
     a.flags.writeable = False
-    return a
+    return a.view()
 
 
 @dataclass(frozen=True)
@@ -168,7 +178,9 @@ class ValidationReport:
     ``failures`` holds (code, location) pairs; codes are prefixed
     ``latin:`` or ``orth:``.  ``is_orthogonal_trade`` is meaningful only
     when ``orthogonality_checked`` is set (validate_latin_trade leaves
-    it unset and the flag false).
+    it unset and the flag false).  ``symbol_histogram`` maps each base
+    symbol to its count and is read-only, as a report is shared by every
+    caller that validates the same trade.
     """
 
     is_latin_trade: bool
@@ -176,7 +188,7 @@ class ValidationReport:
     orthogonality_checked: bool
     size: int
     failures: tuple[tuple[str, str], ...]
-    symbol_histogram: dict[int, int] = field(compare=False)
+    symbol_histogram: Mapping[int, int] = field(compare=False)
 
     def __bool__(self) -> bool:
         return self.is_latin_trade and (
@@ -184,7 +196,8 @@ class ValidationReport:
         )
 
 
-def _latin_failures(t: TradePair, a: np.ndarray) -> list[tuple[str, str]]:
+def _latin_failures(t: TradePair) -> list[tuple[str, str]]:
+    a = t.array
     failures: list[tuple[str, str]] = []
     if len(a) == 0:
         return failures
@@ -217,7 +230,8 @@ def _latin_failures(t: TradePair, a: np.ndarray) -> list[tuple[str, str]]:
     return failures
 
 
-def _orthogonality_failures(t: TradePair, a: np.ndarray) -> list[tuple[str, str]]:
+def _orthogonality_failures(t: TradePair) -> list[tuple[str, str]]:
+    a = t.array
     failures: list[tuple[str, str]] = []
     if len(a) == 0:
         return failures
@@ -248,9 +262,9 @@ def _orthogonality_failures(t: TradePair, a: np.ndarray) -> list[tuple[str, str]
     return failures
 
 
-def _histogram(a: np.ndarray) -> dict[int, int]:
+def _histogram(a: np.ndarray) -> Mapping[int, int]:
     symbols, counts = np.unique(a[:, 2], return_counts=True)
-    return dict(zip(symbols.tolist(), counts.tolist()))
+    return MappingProxyType(dict(zip(symbols.tolist(), counts.tolist())))
 
 
 def validate_latin_trade(t: TradePair) -> ValidationReport:
@@ -258,18 +272,21 @@ def validate_latin_trade(t: TradePair) -> ValidationReport:
 
     Violations are collected, not thrown: the report lists every cell
     with a wrong base symbol or a mate equal to its base, and every row
-    or column whose mate multiset differs from its base multiset.
+    or column whose mate multiset differs from its base multiset.  The
+    report is computed once per trade; later calls return it again.
     """
-    a = t.array
-    failures = _latin_failures(t, a)
-    return ValidationReport(
-        is_latin_trade=not failures,
-        is_orthogonal_trade=False,
-        orthogonality_checked=False,
-        size=t.size,
-        failures=tuple(failures),
-        symbol_histogram=_histogram(a),
-    )
+    report = t._reports.get("latin")
+    if report is None:
+        failures = tuple(_latin_failures(t))
+        report = t._reports["latin"] = ValidationReport(
+            is_latin_trade=not failures,
+            is_orthogonal_trade=False,
+            orthogonality_checked=False,
+            size=t.size,
+            failures=failures,
+            symbol_histogram=_histogram(t.array),
+        )
+    return report
 
 
 def validate_orthogonal_trade(t: TradePair) -> ValidationReport:
@@ -279,30 +296,33 @@ def validate_orthogonal_trade(t: TradePair) -> ValidationReport:
     ell with k - ell a unit mod p; under that condition the superimposed
     squares realize every ordered pair once, so the traded square stays
     orthogonal iff the introduced (mate, B_p(k)) pairs are distinct and
-    are exactly the removed (base, B_p(k)) pairs.
+    are exactly the removed (base, B_p(k)) pairs.  The index is checked
+    on every call; the report is computed once per trade, on top of the
+    trade's Latin report, and later calls return it again.
     """
-    if t.size == 0:
-        return ValidationReport(True, True, True, 0, (), {})
-    if t.k is None:
-        raise ValueError("orthogonality index k is not set")
-    if t.k == t.ell:
-        raise ValueError(f"index k={t.k} equals ell; no orthogonal mate to preserve")
-    if math.gcd(t.k - t.ell, t.p) != 1:
-        raise ValueError(
-            f"k-ell={t.k - t.ell} is not a unit mod {t.p}; "
-            f"B_{t.p}({t.ell}) and B_{t.p}({t.k}) are not orthogonal")
-    a = t.array
-    latin = _latin_failures(t, a)
-    orth = _orthogonality_failures(t, a) if not latin else []
-    failures = latin + orth
-    return ValidationReport(
-        is_latin_trade=not latin,
-        is_orthogonal_trade=not failures,
-        orthogonality_checked=True,
-        size=t.size,
-        failures=tuple(failures),
-        symbol_histogram=_histogram(a),
-    )
+    if t.size:
+        if t.k is None:
+            raise ValueError("orthogonality index k is not set")
+        if t.k == t.ell:
+            raise ValueError(f"index k={t.k} equals ell; no orthogonal mate to preserve")
+        if math.gcd(t.k - t.ell, t.p) != 1:
+            raise ValueError(
+                f"k-ell={t.k - t.ell} is not a unit mod {t.p}; "
+                f"B_{t.p}({t.ell}) and B_{t.p}({t.k}) are not orthogonal")
+    report = t._reports.get("orth")
+    if report is None:
+        latin = validate_latin_trade(t)
+        # orthogonality is only tested on a Latin trade
+        failures = latin.failures or tuple(_orthogonality_failures(t))
+        report = t._reports["orth"] = ValidationReport(
+            is_latin_trade=latin.is_latin_trade,
+            is_orthogonal_trade=not failures,
+            orthogonality_checked=True,
+            size=t.size,
+            failures=failures,
+            symbol_histogram=latin.symbol_histogram,
+        )
+    return report
 
 
 def apply_trade(t: TradePair) -> LatinSquare:

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bptrades.cli import run
+from bptrades.cli import _build_parser, run
 from bptrades.core import gen_bp
 from bptrades.dissect import (
     base_dissection,
@@ -95,6 +95,20 @@ def test_gen_refuses_large_order_before_allocating(capsys, monkeypatch):
 
 def _never_called(*args):
     raise AssertionError("called past the cap")
+
+
+def test_parser_built_once_and_calls_keep_their_own_defaults(capsys):
+    # one parser serves every run; no option or exit code leaks between calls
+    fig1 = FIXTURES / "fig1.json"
+    assert _build_parser() is _build_parser()
+    code, out, _ = _invoke(capsys, "verify", "trade", "--file", fig1, "--pretty")
+    assert (code, out) == (0, "trade of size 18: valid\n")
+    code, out, _ = _invoke(capsys, "verify", "trade", "--file", fig1)
+    assert code == 0 and json.loads(out)["valid"] is True
+    code, _, err = _invoke(capsys, "construct", "family", "--p", 11)
+    assert code == 1 and err
+    code, _, err = _invoke(capsys, "gen", "--p", 14)
+    assert code == 2 and "odd" in err
 
 
 # -- verify ------------------------------------------------------------------------
@@ -310,6 +324,18 @@ def test_construct_family_matches_fixture(capsys):
     assert payload == shipped
     # the trade document survives a verify round-trip despite the extra key
     assert TradePair.from_json(out) == witness.trade
+
+
+@pytest.mark.parametrize("p", [7, 13, 19, 43, 499])
+def test_construct_family_bytes_match_reparsed_document(capsys, p):
+    # the intercalate key is spliced into to_json's text; the bytes are
+    # those of adding it to the parsed document and dumping that again
+    code, out, _ = _invoke(capsys, "construct", "family", "--p", p)
+    witness = family_construct(p)
+    doc = json.loads(witness.trade.to_json())
+    doc["intercalate"] = {"cells": [list(t) for t in witness.intercalate]}
+    assert code == 0
+    assert out == json.dumps(doc) + "\n"
 
 
 def test_construct_family_unavailable(capsys):

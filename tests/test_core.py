@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -139,6 +141,27 @@ def test_latin_square_is_immutable():
         sq.cells[0, 0] = 3
     with pytest.raises(AttributeError):
         sq.order = 7
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda sq: pickle.loads(pickle.dumps(sq)),
+])
+def test_copies_keep_cells_and_label(clone):
+    for sq in (gen_bp(5, 2), gen_bp(7, 3).transpose(), LatinSquare([[0, 1], [1, 0]])):
+        again = clone(sq)
+        assert again == sq and again.label == sq.label
+        assert not again.cells.flags.writeable
+        with pytest.raises(AttributeError):
+            again.order = 3
+
+
+def test_copies_go_through_the_checked_constructor():
+    # a square whose cells are not Latin does not survive a round-trip
+    bad = LatinSquare._proved(np.array([[0, 1], [0, 1]]))
+    with pytest.raises(ValueError, match="columns"):
+        copy.copy(bad)
+    with pytest.raises(ValueError, match="columns"):
+        pickle.loads(pickle.dumps(bad))
 
 
 @pytest.mark.parametrize("n", range(3, 32, 2))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bptrades.dissect as dissect
+import bptrades.trades as trades
 from bptrades.core import primes_up_to
 from bptrades.dissect import (
     GoodnessReport,
@@ -537,6 +538,27 @@ def test_pipeline_sweep(p):
     assert trade.size == p * m
     assert rowperm_orthogonal(sigma, {2})
     assert validate_orthogonal_trade(trade).is_orthogonal_trade
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 101])
+def test_pipeline_validates_small_trade_once(monkeypatch, p):
+    # _trade_of_good and balance_matrix share the small trade's report
+    small, checked = [], []
+    real_log_trade, real_latin = log_trade, trades._latin_failures
+
+    def recording_log_trade(q):
+        small.append(real_log_trade(q))
+        return small[-1]
+
+    def counting_latin(t):
+        checked.append(t)
+        return real_latin(t)
+
+    monkeypatch.setattr("bptrades.dissect.log_trade", recording_log_trade)
+    monkeypatch.setattr(trades, "_latin_failures", counting_latin)
+    small_rowperm_pipeline(p)
+    assert len(small) == 1
+    assert sum(t is small[0] for t in checked) == 1
 
 
 def test_pipeline_rejects_trade_of_partial_rows(monkeypatch):

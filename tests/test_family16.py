@@ -1,7 +1,11 @@
+import hashlib
 import itertools
+import json
+from collections import Counter
 
 import pytest
 
+import bptrades.trades as trades
 from bptrades.core import are_orthogonal, gen_bp, primes_up_to
 from bptrades.family16 import FamilyWitness, construct, find_k, intercalate_witness
 from bptrades.trades import TradePair, apply_trade, validate_orthogonal_trade
@@ -113,6 +117,39 @@ def test_family_sweep_small_primes(p):
     assert report.is_orthogonal_trade
     # each present symbol occurs at least 3 times
     assert all(n >= 3 for n in report.symbol_histogram.values())
+
+
+def test_family_documents_pinned():
+    # to_json and the intercalate of every fifth p = 1 (mod 6) up to 1009,
+    # 17 primes, as built by the sorting construction before it
+    h = hashlib.sha256()
+    for p in [p for p in primes_up_to(1009) if p % 6 == 1][::5]:
+        w = construct(p)
+        h.update(w.trade.to_json().encode())
+        h.update(json.dumps(intercalate_witness(w)).encode())
+    assert h.hexdigest() == "a2f1443521abee8d4ac3cef11b2bbfa26779110a3c69213648573d98f1b5cd76"
+
+
+@pytest.mark.parametrize("p", [7, 31, 907])
+def test_family_request_validates_once(monkeypatch, p):
+    # construct, the caller and intercalate_witness share one report
+    calls = Counter()
+    latin, orth = trades._latin_failures, trades._orthogonality_failures
+
+    def counting_latin(t):
+        calls["latin"] += 1
+        return latin(t)
+
+    def counting_orth(t):
+        calls["orth"] += 1
+        return orth(t)
+
+    monkeypatch.setattr(trades, "_latin_failures", counting_latin)
+    monkeypatch.setattr(trades, "_orthogonality_failures", counting_orth)
+    w = construct(p)
+    assert validate_orthogonal_trade(w.trade).is_orthogonal_trade
+    assert intercalate_witness(w) == w.intercalate
+    assert calls == {"latin": 1, "orth": 1}
 
 
 def test_row_multisets_match():

@@ -1,4 +1,7 @@
+import copy
 import json
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -98,6 +101,14 @@ def test_array_input_is_copied_and_read_only():
         t.array[0, 3] = 6
     with pytest.raises(AttributeError):
         t.k = 2
+
+
+def test_array_flag_cannot_be_set_back():
+    # the array is a read-only view of a read-only base, so a stored
+    # report can never go stale
+    for t in (FIG1, TradePair(7, 1, 3, np.array(FIG1_ENTRIES)), TradePair(7, 1, 3, ())):
+        with pytest.raises(ValueError):
+            t.array.flags.writeable = True
 
 
 def test_array_constructor_rejects_malformed():
@@ -366,6 +377,92 @@ def test_translates_stay_orthogonal_and_canonicalize(dr, dc):
 def test_canonicalize_rejects_invalid():
     with pytest.raises(ValueError):
         canonicalize(TradePair(7, 1, 2, FIG1_ENTRIES))
+
+
+# -- one report per trade ----------------------------------------------------
+
+
+def _changed(t: TradePair, i: int, col: int, value: int) -> TradePair:
+    a = t.array.copy()
+    a[i, col] = value
+    return TradePair(t.p, t.ell, t.k, a)
+
+
+def _corruptions(t: TradePair):
+    """t, then copies with a wrong base, a mate equal to its base, an
+    unbalanced row and column, and (for a set k) another index."""
+    p = t.p
+    yield t
+    for i in (0, t.size // 2, t.size - 1):
+        base, mate = t.array[i, 2:].tolist()
+        yield _changed(t, i, 2, (base + 1) % p)
+        yield _changed(t, i, 3, base)
+        yield _changed(t, i, 3, next(s for s in (mate + 1, mate + 2) if s % p != base) % p)
+    if t.k is not None:
+        other = next(k for k in range(2, p) if k != t.k and math.gcd(k - t.ell, p) == 1)
+        yield TradePair(p, t.ell, other, t.array)
+
+
+def _validators(t: TradePair):
+    if t.k is None:
+        return (validate_latin_trade,)
+    return (validate_latin_trade, validate_orthogonal_trade)
+
+
+def test_each_report_computed_once_and_equal_to_a_fresh_one():
+    from bptrades.family16 import construct
+
+    codes = set()
+    for trade in (FIG1, FIG2, B13, construct(13).trade, construct(31).trade):
+        for t in _corruptions(trade):
+            # the fresh trade is validated in the opposite order, so the
+            # orthogonal report is built before the Latin one it rests on
+            fresh = TradePair(t.p, t.ell, t.k, t.entries)
+            fresh_reports = [validate(fresh) for validate in reversed(_validators(t))][::-1]
+            for validate, fresh_report in zip(_validators(t), fresh_reports):
+                report = validate(t)
+                assert validate(t) is report
+                assert report == fresh_report
+                assert report.symbol_histogram == fresh_report.symbol_histogram
+                codes.update(code for code, _ in report.failures)
+    assert codes == {"latin:base", "latin:disjoint", "latin:row_balance",
+                     "latin:col_balance", "orth:pair_collision", "orth:pair_foreign"}
+
+
+def test_index_errors_raise_on_every_call():
+    t = TradePair(7, 1, 1, FIG1_ENTRIES)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="equals ell"):
+            validate_orthogonal_trade(t)
+    t = TradePair(7, 1, None, FIG1_ENTRIES)
+    assert validate_latin_trade(t)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not set"):
+            validate_orthogonal_trade(t)
+
+
+def test_report_histogram_is_read_only():
+    for report in (validate_latin_trade(FIG1), validate_orthogonal_trade(FIG1)):
+        with pytest.raises(TypeError):
+            report.symbol_histogram[0] = 99
+        assert report.symbol_histogram[0] == 3
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t)),
+])
+def test_copies_rebuild_the_trade_without_its_reports(clone):
+    for t in (FIG1, B13, TradePair(7, 1, None, ())):
+        report = validate_latin_trade(t)
+        again = clone(t)
+        assert again == t and again is not t
+        assert (again.p, again.ell, again.k, again.entries) == (t.p, t.ell, t.k, t.entries)
+        with pytest.raises(ValueError):
+            again.array.flags.writeable = True
+        assert validate_latin_trade(again) is not report
+        assert validate_latin_trade(again) == report
+    assert validate_orthogonal_trade(clone(FIG1)).is_orthogonal_trade
+    assert not validate_orthogonal_trade(clone(TradePair(7, 1, 2, FIG1_ENTRIES)))
 
 
 # -- JSON --------------------------------------------------------------------
