@@ -114,7 +114,8 @@ class LatinSquare:
     to check the Latin property.  ``_proved`` skips the sorts where the
     same call has proved it: in ``gen_bp``, which checks that k is a
     unit, in ``transpose``, and in ``apply_trade`` after
-    ``validate_latin_trade``.  Instances are immutable; copies and
+    ``validate_latin_trade``.  Instances are immutable: ``cells`` is a
+    read-only view of a private read-only array.  Copies and
     pickles rebuild the square through the checked constructor, keeping
     its label.  ``label`` records (p, k) when the square was produced as
     B_p(k), None otherwise.
@@ -124,7 +125,8 @@ class LatinSquare:
 
     def __init__(self, rows: "Sequence[Sequence[int]] | np.ndarray",
                  label: "tuple[int, int] | None" = None):
-        cells = np.asarray(rows, dtype=np.int64)
+        # a copy, so the caller's array cannot change the square
+        cells = np.array(rows, dtype=np.int64)
         if cells.ndim != 2 or cells.shape[0] != cells.shape[1]:
             raise ValueError(f"expected a square array, got shape {cells.shape}")
         n = cells.shape[0]
@@ -139,14 +141,17 @@ class LatinSquare:
 
     @classmethod
     def _proved(cls, cells: np.ndarray, label=None) -> "LatinSquare":
-        # an (n, n) int64 array that the caller has proved Latin
+        # an (n, n) int64 array that the caller has proved Latin, and that
+        # no one else writes to
         square = cls.__new__(cls)
         square._store(cells, label)
         return square
 
     def _store(self, cells: np.ndarray, label: "tuple[int, int] | None") -> None:
+        # a read-only view of a read-only base: the view's flag cannot be
+        # set back, so the cells of a square never change
         cells.flags.writeable = False
-        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_cells", cells.view())
         object.__setattr__(self, "order", len(cells))
         object.__setattr__(self, "label", label)
 

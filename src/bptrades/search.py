@@ -42,6 +42,16 @@ best so far (branch and bound).  A skipped subtree holds no new value
 and no earlier witness, so the results match the full walk's.
 ``exhaustive`` therefore proves that every reachable value was
 witnessed, not that every leaf was visited.
+
+The cover search bounds the agreement a partial cover can still gain
+by the transversals left to place.  Only an anti-diagonal agrees with
+its label in all p cells; any other transversal agrees in at most g
+cells, g read off the orbit roots (every map the roots are taken under
+permutes the anti-diagonals, so keeps that peak).  The anti-diagonals
+are pairwise disjoint, so of the ``left`` transversals still to place
+at most f = min(left, anti-diagonals disjoint from the cover) are
+anti-diagonals, and they gain at most f*p + (left - f)*g.  g is 1 at
+p = 5, 2 or 4 at p = 7, and 6 at p = 9 and 11.
 """
 
 from __future__ import annotations
@@ -450,7 +460,7 @@ def _labeling_table(p: int, vectors: "list[tuple[int, ...]]") -> list[int]:
         cur = dp[state]
         if not cur:
             continue
-        vec = vectors[bin(state).count("1")]
+        vec = vectors[state.bit_count()]
         free = full ^ state
         while free:
             bit = free & -free
@@ -507,6 +517,20 @@ def _symbol_swaps(p: int, k: int):
     return set(certificates), certificates, False
 
 
+def _off_anti_peak(p: int, masks: list[int], roots: list[int]) -> int:
+    """g: the largest agreement of a transversal other than an
+    anti-diagonal with a single label, read off ``roots``.
+
+    Translations, unit scalings and the transpose permute the
+    anti-diagonals, so they permute agreement vectors and keep the peak;
+    the orbit roots meet every orbit, so their peaks are every peak.
+    Only an anti-diagonal has peak p.
+    """
+    antis = _anti_diagonals(p)
+    peaks = (max((masks[i] & a).bit_count() for a in antis) for i in roots)
+    return max((t for t in peaks if t < p), default=0)
+
+
 def _cover_search(
     p: int,
     k: int,
@@ -521,12 +545,17 @@ def _cover_search(
     every reachable size was witnessed.
 
     Branch and bound: a labeled transversal agrees with its label in at
-    most max(vector) cells, and an uncovered cell in at most one, so a
-    partial cover of ``depth`` transversals whose maxima sum to ``top``
-    leads only to sizes of at least p^2 - top - p*(p - depth).  Its
-    subtree is skipped when every size from there up to p^2 already has
-    a certificate: it could add none, so the sizes and the first
-    certificate of each are those of the full walk.
+    most max(vector) cells, its peak.  Only an anti-diagonal has peak p;
+    every other transversal has peak at most g (``_off_anti_peak``, so
+    ``roots`` must meet every orbit of the masks under maps that permute
+    the anti-diagonals).  The anti-diagonals are pairwise disjoint, and
+    only those still disjoint from a partial cover can join it.  So a
+    partial cover whose peaks sum to ``top``, with ``left`` transversals
+    still to place and f = min(left, anti-diagonals it does not meet),
+    leads only to agreements of at most top + f*p + (left - f)*g.  Its
+    subtree is skipped when every size from p^2 minus that up to p^2
+    already has a certificate: it could add none, so the sizes and the
+    first certificate of each are those of the full walk.
     """
     full = (1 << (p * p)) - 1
     sizes: set[int] = set()
@@ -535,7 +564,11 @@ def _cover_search(
     # vector(i)[s] = number of cells of transversal i on anti-diagonal s
     antis = _anti_diagonals(p)
     vector_of: dict[int, tuple[int, ...]] = {}
-    peaks = [-1] * len(masks)  # max(vector(i)), filled on first use
+    # max(vector(i)), and bit s set when transversal i meets anti-diagonal
+    # s; both filled on first use
+    peaks = [-1] * len(masks)
+    hits = [0] * len(masks)
+    g = _off_anti_peak(p, masks, roots)
     dp_memo: dict[tuple, int] = {}
     counter = 0
     # bit a of ``found`` is set once size p^2 - a has a certificate;
@@ -580,25 +613,34 @@ def _cover_search(
     def done() -> bool:
         return targets is not None and targets <= sizes
 
-    def rec(used: int, top: int, options: list[int]) -> bool:
-        # extend the partial cover ``chosen`` (cells ``used``) by each
-        # free transversal of ``options`` in turn
+    def rec(used: int, free: int, top: int, options: list[int]) -> bool:
+        # extend the partial cover ``chosen`` (cells ``used``, anti-diagonals
+        # ``free`` unmet) by each free transversal of ``options`` in turn
         nonlocal counter
         counter += 1
         if counter % 2048 == 0 and deadline is not None:
             if time.monotonic() > deadline:
                 raise BudgetExpired
-        # a child with top t reaches new sizes only if t + rest >= reach
-        rest = p * (p - len(chosen) - 1)
+        # a child with top t reaches new sizes only if t + rest >= reach,
+        # rest = f*p + (left - f)*g; the cheaper p*left bounds it first
+        left = p - len(chosen) - 1
+        loose = p * left
+        floor = g * left
         for i in options:
             m = masks[i]
             if m & used:
                 continue
             t = peaks[i]
             if t < 0:
-                t = peaks[i] = max(vector(i))
+                vec = vector(i)
+                t = peaks[i] = max(vec)
+                hits[i] = sum(1 << s for s, n in enumerate(vec) if n)
             t += top
-            if t + rest < reach:
+            if t + loose < reach:
+                continue
+            unmet = free & ~hits[i]
+            f = unmet.bit_count()
+            if t + floor + (f if f < left else left) * (p - g) < reach:
                 continue
             chosen.append(i)
             child = used | m
@@ -607,14 +649,14 @@ def _cover_search(
                 stop = done()
             else:
                 # branch on the lowest uncovered cell
-                stop = rec(child, t, by_cell[(~child & (child + 1)).bit_length() - 1])
+                stop = rec(child, unmet, t, by_cell[(~child & (child + 1)).bit_length() - 1])
             chosen.pop()
             if stop:
                 return True
         return False
 
     try:
-        if rec(0, 0, roots):
+        if rec(0, (1 << p) - 1, 0, roots):
             return sizes, certificates, False
     except BudgetExpired:
         return sizes, certificates, False

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -179,8 +180,10 @@ class ValidationReport:
     ``latin:`` or ``orth:``.  ``is_orthogonal_trade`` is meaningful only
     when ``orthogonality_checked`` is set (validate_latin_trade leaves
     it unset and the flag false).  ``symbol_histogram`` maps each base
-    symbol to its count and is read-only, as a report is shared by every
-    caller that validates the same trade.
+    symbol to its count, in ascending order of symbol.  It is counted
+    from ``_symbols``, the trade's read-only base column, on first read,
+    and is read-only, as a report is shared by every caller that
+    validates the same trade.
     """
 
     is_latin_trade: bool
@@ -188,12 +191,19 @@ class ValidationReport:
     orthogonality_checked: bool
     size: int
     failures: tuple[tuple[str, str], ...]
-    symbol_histogram: Mapping[int, int] = field(compare=False)
+    _symbols: np.ndarray = field(compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return self.is_latin_trade and (
             self.is_orthogonal_trade or not self.orthogonality_checked
         )
+
+    @cached_property
+    def symbol_histogram(self) -> Mapping[int, int]:
+        # np.unique, not a bincount: symbols range up to p, which comes
+        # from user JSON
+        symbols, counts = np.unique(self._symbols, return_counts=True)
+        return MappingProxyType(dict(zip(symbols.tolist(), counts.tolist())))
 
 
 def _latin_failures(t: TradePair) -> list[tuple[str, str]]:
@@ -262,11 +272,6 @@ def _orthogonality_failures(t: TradePair) -> list[tuple[str, str]]:
     return failures
 
 
-def _histogram(a: np.ndarray) -> Mapping[int, int]:
-    symbols, counts = np.unique(a[:, 2], return_counts=True)
-    return MappingProxyType(dict(zip(symbols.tolist(), counts.tolist())))
-
-
 def validate_latin_trade(t: TradePair) -> ValidationReport:
     """Check that swapping T for T' leaves a Latin square.
 
@@ -284,7 +289,7 @@ def validate_latin_trade(t: TradePair) -> ValidationReport:
             orthogonality_checked=False,
             size=t.size,
             failures=failures,
-            symbol_histogram=_histogram(t.array),
+            _symbols=t.array[:, 2],
         )
     return report
 
@@ -320,7 +325,7 @@ def validate_orthogonal_trade(t: TradePair) -> ValidationReport:
             orthogonality_checked=True,
             size=t.size,
             failures=failures,
-            symbol_histogram=latin.symbol_histogram,
+            _symbols=latin._symbols,
         )
     return report
 

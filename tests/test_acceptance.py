@@ -48,7 +48,7 @@ from bptrades.trades import (
 )
 
 from test_family16 import FIG4_ENTRIES
-from test_search import _count_oracle
+from test_search import _count_oracle, assert_sizes_clear_lower_bound
 from test_trades import B13_ENTRIES, FIG1_ENTRIES
 
 EPS = 1e-9
@@ -230,6 +230,19 @@ def test_c07_spectra_exact_and_certified():
     print(f"acceptance 07 note: p=11 exhaustive={res.exhaustive} "
           f"(certificates cover all {len(S11_TARGETS)} target sizes)")
     _passed(7, "spectra for p=5,7,9 exact; p=11 sizes certified", t0, 3600.0)
+
+
+@pytest.mark.slow
+def test_c07_p11_spectrum_proved():
+    # beside c07's certified targets: the exhaustive union over the
+    # mates is exactly those targets, so sizes 1-21, 23-32, 34 and 35
+    # have no trade
+    t0 = time.perf_counter()
+    res = spectrum_all(11)
+    assert res.exhaustive
+    assert res.sizes == S11_TARGETS
+    assert_sizes_clear_lower_bound(res)
+    _passed(7, "spectrum for p=11 proved", t0, 1800.0)
 
 
 # -- 8: row-permutation support-size sets ------------------------------------------

@@ -25,7 +25,7 @@ from bptrades.dissect import log_trade
 from bptrades.family16 import construct, find_k
 from bptrades.rowperm import three_row_trade
 from bptrades.search import diagonal_histogram, min_distance_from_linear, rowperm_sizes
-from bptrades.trades import TradePair
+from bptrades.trades import TradePair, apply_trade
 
 from test_trades import FIG1, FIG1_ENTRIES
 
@@ -141,6 +141,29 @@ def test_latin_square_is_immutable():
         sq.cells[0, 0] = 3
     with pytest.raises(AttributeError):
         sq.order = 7
+
+
+def test_array_input_is_copied_and_read_only():
+    # the caller's array, and its flag, stay the caller's
+    a = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    sq = LatinSquare(a)
+    assert a.flags.writeable
+    a[0, 0] = 5
+    assert sq[0, 0] == 0
+    with pytest.raises(ValueError):
+        sq.cells[0, 0] = 1
+
+
+def test_cells_flag_cannot_be_set_back():
+    # the cells are a read-only view of a read-only base, on every path
+    # that builds a square
+    a = np.array([[0, 1], [1, 0]])
+    squares = (gen_bp(5, 2), gen_bp(7, 3).transpose(), LatinSquare(a),
+               LatinSquare([[0, 1], [1, 0]]), apply_trade(FIG1),
+               copy.copy(gen_bp(5, 2)))
+    for sq in squares:
+        with pytest.raises(ValueError):
+            sq.cells.flags.writeable = True
 
 
 @pytest.mark.parametrize("clone", [

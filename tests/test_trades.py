@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -446,6 +447,17 @@ def test_report_histogram_is_read_only():
         with pytest.raises(TypeError):
             report.symbol_histogram[0] = 99
         assert report.symbol_histogram[0] == 3
+
+
+def test_report_histogram_counted_on_first_read():
+    # validation alone does not count symbols; the first read does, once,
+    # with the symbols in ascending order
+    t = TradePair(7, 1, 3, FIG1_ENTRIES)
+    for report in (validate_latin_trade(t), validate_orthogonal_trade(t)):
+        assert "symbol_histogram" not in vars(report)
+        hist = report.symbol_histogram
+        assert report.symbol_histogram is hist
+        assert list(hist.items()) == sorted(Counter(e[2] for e in FIG1_ENTRIES).items())
 
 
 @pytest.mark.parametrize("clone", [
