@@ -88,8 +88,9 @@ def _load(path: str, reader, what: str):
 
 
 def _parse_targets(text: str, p: int) -> frozenset:
-    # comma-separated sizes; "a..b" spans an inclusive range.  Every bound
-    # must lie in 0..p*p, checked before a range is expanded
+    # comma-separated sizes; "a..b" spans an inclusive range, a <= b.  Every
+    # bound must lie in 0..p*p, checked before a range is expanded, and
+    # some size must be named: an empty set would end the search at once
     out = set()
     for part in text.split(","):
         part = part.strip()
@@ -99,8 +100,12 @@ def _parse_targets(text: str, p: int) -> frozenset:
             raise ValueError(f"bad --targets element {part!r}") from None
         if any(not 0 <= b <= p * p for b in bounds):
             raise ValueError(f"--targets element {part!r} is outside 0..{p * p}")
+        if len(bounds) == 2 and bounds[1] < bounds[0]:
+            raise ValueError(f"--targets range {part!r} ends below its start")
         if bounds:
             out.update(range(bounds[0], bounds[-1] + 1))
+    if not out:
+        raise ValueError(f"--targets {text!r} names no size")
     return frozenset(out)
 
 
@@ -203,7 +208,7 @@ def _spectrum_payload(res) -> dict:
 
 def _cmd_search(args) -> int:
     if args.what == "spectrum":
-        targets = _parse_targets(args.targets, args.p) if args.targets else None
+        targets = None if args.targets is None else _parse_targets(args.targets, args.p)
         if args.k is None:
             res = spectrum_all(args.p, budget=args.budget, targets=targets)
         else:

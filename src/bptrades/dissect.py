@@ -415,64 +415,65 @@ def small_rowperm_pipeline(
 # -- exhaustive search for the sub-dissection primes ------------------------------
 
 
-def _matrix_feasible(p: int, u: tuple[int, ...]) -> bool:
-    # necessary condition: every symbol must be the average of two others
-    for i, ui in enumerate(u):
-        target = 2 * ui % p
-        others = [v for j, v in enumerate(u) if j != i]
-        if not any(
-            (a + b) % p == target for a, b in itertools.combinations(others, 2)
-        ):
-            return False
-    return True
+def _cell_sets(p: int, extra: tuple[int, ...]):
+    # the cell walk of symbol_twice_search, yielding (row, col, base)
+    # lists; anti-diagonals are disjoint, so no cell repeats
+    pairs = [
+        [((r1, (s - r1) % p, s), (r2, (s - r2) % p, s))
+         for r1, r2 in itertools.combinations(range(p), 2)]
+        for s in extra
+    ]
+    cells = [(0, 0, 0), (1, p - 1, 0)]
 
-
-def _mate_completions(p: int, cellmap: dict[tuple[int, int], int]):
-    # assign mates row by row (a derangement of the row's bases), pruning
-    # against the per-column base multisets
-    rows: dict[int, list[tuple[int, int]]] = {}
-    col_base: dict[int, Counter] = {}
-    for (r, c), s in cellmap.items():
-        rows.setdefault(r, []).append((c, s))
-        col_base.setdefault(c, Counter())[s] += 1
-    if any(len(group) < 2 for group in rows.values()):
-        return
-    if any(sum(cnt.values()) < 2 for cnt in col_base.values()):
-        return
-    row_items = sorted((r, sorted(group)) for r, group in rows.items())
-    col_mate: dict[int, Counter] = {c: Counter() for c in col_base}
-
-    def rec(i: int):
-        if i == len(row_items):
-            if all(col_mate[c] == col_base[c] for c in col_base):
-                entries = np.array([
-                    (r, c, s, assignment[(r, c)])
-                    for (r, c), s in cellmap.items()
-                ])
-                yield TradePair(p, 1, None, entries)
+    def walk(i: int, rows: int, rows2: int, cols: int, cols2: int):
+        # rows and columns met at all, and met at least twice
+        left = len(pairs) - i
+        if max(rows.bit_count() - rows2.bit_count(),
+               cols.bit_count() - cols2.bit_count()) > 2 * left:
             return
-        r, group = row_items[i]
-        bases = [s for _, s in group]
-        for perm in itertools.permutations(bases):
-            if any(m == s for m, (_, s) in zip(perm, group)):
-                continue
-            ok = True
-            taken = []
-            for m, (c, _) in zip(perm, group):
-                col_mate[c][m] += 1
-                taken.append((c, m))
-                if col_mate[c][m] > col_base[c][m]:
-                    ok = False
-                    break
-            if ok:
-                for m, (c, _) in zip(perm, group):
-                    assignment[(r, c)] = m
-                yield from rec(i + 1)
-            for c, m in taken:
-                col_mate[c][m] -= 1
+        if not left:
+            yield list(cells)
+            return
+        for pair in pairs[i]:
+            (r1, c1, _), (r2, c2, _) = pair
+            r, c = 1 << r1 | 1 << r2, 1 << c1 | 1 << c2
+            cells.extend(pair)
+            yield from walk(i + 1, rows | r, rows2 | rows & r,
+                            cols | c, cols2 | cols & c)
+            del cells[-2:]
 
-    assignment: dict[tuple[int, int], int] = {}
-    yield from rec(0)
+    yield from walk(0, 0b11, 0, 1 | 1 << (p - 1), 0)
+
+
+def _mate_completions(p: int, cells: list[tuple[int, int, int]]):
+    # the mate walk of symbol_twice_search, yielding trades
+    cells = sorted(cells)
+    row_bases: list[list[int]] = [[] for _ in range(p)]
+    row_left, col_left = [0] * p, [0] * p
+    for r, c, s in cells:
+        row_bases[r].append(s)
+        row_left[r] |= 1 << s
+        col_left[c] |= 1 << s
+    mates = [0] * len(cells)
+
+    def walk(i: int):
+        if i == len(cells):
+            yield TradePair(p, 1, None, np.array(
+                [(r, c, s, m) for (r, c, s), m in zip(cells, mates)]))
+            return
+        r, c, s = cells[i]
+        free = row_left[r] & col_left[c] & ~(1 << s)
+        for m in row_bases[r]:
+            bit = 1 << m
+            if free & bit:
+                row_left[r] ^= bit
+                col_left[c] ^= bit
+                mates[i] = m
+                yield from walk(i + 1)
+                row_left[r] ^= bit
+                col_left[c] ^= bit
+
+    yield from walk(0)
 
 
 def symbol_twice_search(p: int, symbols: int) -> "TradePair | None":
@@ -481,35 +482,25 @@ def symbol_twice_search(p: int, symbols: int) -> "TradePair | None":
 
     Candidates are normalized up to translation and scaling by fixing
     cells (0, 0) and (1, p-1) with base symbol 0, so a None return rules
-    out the size entirely.  Deterministic: the first hit in lexicographic
-    order is returned.
+    out the size entirely.  For each set of other symbols, in
+    combinations order, a cell walk places each symbol's pair of
+    anti-diagonal cells in itertools.product order.  Each used row and
+    column needs two cells and a pair settles at most two lone ones, so
+    the walk prunes once the lone rows or columns outnumber twice the
+    pairs left.  A mate walk then gives each cell, in row-major order,
+    an untaken base of its row, in column order, other than its own and
+    still left in its column.  The first completion that balance_matrix
+    and trade_from_matrix(D, u, 2, p) accept is returned: the first hit
+    in lexicographic order.
     """
     mod = Modulus.of_odd(p)
     p = mod.p
+    symbols = _integer(symbols, "symbols")
     if symbols < 3 or symbols > p:
         return None
-    diag = {s: tuple((r, (s - r) % p) for r in range(p)) for s in range(p)}
-    zero_cells = ((0, 0), (1, p - 1))
     for extra in itertools.combinations(range(1, p), symbols - 1):
-        if not _matrix_feasible(p, (0,) + extra):
-            continue
-        pools = [list(itertools.combinations(diag[s], 2)) for s in extra]
-        for choice in itertools.product(*pools):
-            cellmap = {cell: 0 for cell in zero_cells}
-            clash = False
-            for s, pair in zip(extra, choice):
-                for cell in pair:
-                    if cell in cellmap:
-                        clash = True
-                        break
-                    cellmap[cell] = s
-                if clash:
-                    break
-            if clash:
-                continue
-            for t in _mate_completions(p, cellmap):
-                if not validate_latin_trade(t).is_latin_trade:
-                    continue
+        for cells in _cell_sets(p, extra):
+            for t in _mate_completions(p, cells):
                 try:
                     D, u = balance_matrix(t)
                     trade_from_matrix(D, u, 2, p)

@@ -95,10 +95,10 @@ __all__ = [
 TRANSVERSAL_CAP = 13
 
 # The largest p a spectrum search accepts, budget or not.  Above the cap
-# a budget always runs out, and the symbol-swap fallback then builds
-# about p^3/2 certificate entries, once per mate that spectrum_all
-# enumerates: at p = 31 that takes ~0.4 s for spectrum_all and ~0.03 s
-# for spectrum on a 2-core machine, at p = 61 already 7 s for spectrum_all.
+# a budget always runs out, and the symbol-swap fallback then reads
+# about p^3/2 certificate entries off their closed form, once per mate
+# that spectrum_all enumerates: on a 2-core machine ~0.05 s at p = 31
+# (~3 ms for spectrum), and ~0.15 s for the 30 mates of p = 61.
 SPECTRUM_P_MAX = 31
 
 
@@ -508,10 +508,13 @@ def _certificate(
 def _symbol_swaps(p: int, k: int):
     """The trades that cycle the symbols 0..m-1 of B_p(1), m = 0, 2..p,
     as a partial spectrum result: they need no search.  The anti-diagonal
-    cover, which the cover search tries first, yields the same sizes."""
-    antis = _anti_diagonals(p)
+    cover, which the cover search tries first, yields the same sizes.
+    The trade for m holds the cells with s = (r + c) mod p < m, and the
+    mate of s is (s + 1) mod m; m = 0 selects no cell."""
+    r, c = np.divmod(np.arange(p * p), p)
+    s = (r + c) % p
     certificates = {
-        m * p: _certificate(p, k, antis, [(s + 1) % m if s < m else s for s in range(p)])
+        m * p: TradePair(p, 1, k, np.column_stack((r, c, s, (s + 1) % max(m, 1)))[s < m])
         for m in (0, *range(2, p + 1))
     }
     return set(certificates), certificates, False

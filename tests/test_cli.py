@@ -533,6 +533,24 @@ def test_spectrum_rejects_malformed_targets(capsys):
     assert "'1..x'" in err
 
 
+@pytest.mark.parametrize("targets, message", [
+    ("40..36", "--targets range '40..36' ends below its start"),
+    ("0,3..2", "--targets range '3..2' ends below its start"),
+    (",", "--targets ',' names no size"),
+    ("", "--targets '' names no size"),
+])
+def test_spectrum_refuses_targets_that_name_no_size(capsys, monkeypatch, targets, message):
+    # an empty target set would end the search after the first cover
+    def search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr("bptrades.search._cover_tables", search)
+    code, out, err = _invoke(capsys, "search", "spectrum", "--p", 7, "--k", 3,
+                             f"--targets={targets}")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 @pytest.mark.parametrize(
     "targets", ["26", "-1", "0,3..26", "-1..4", "0..1000000000", "-1000000000..0"]
 )

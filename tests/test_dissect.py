@@ -578,6 +578,165 @@ def test_pipeline_101_row_bound():
 # -- exhaustive small search ---------------------------------------------------------
 
 
+def _ref_matrix_feasible(p, u):
+    # necessary condition: every symbol must be the average of two others
+    for i, ui in enumerate(u):
+        target = 2 * ui % p
+        others = [v for j, v in enumerate(u) if j != i]
+        if not any(
+            (a + b) % p == target for a, b in itertools.combinations(others, 2)
+        ):
+            return False
+    return True
+
+
+def _ref_mate_completions(p, cellmap):
+    # assign mates row by row (a derangement of the row's bases), pruning
+    # against the per-column base multisets
+    rows, col_base = {}, {}
+    for (r, c), s in cellmap.items():
+        rows.setdefault(r, []).append((c, s))
+        col_base.setdefault(c, Counter())[s] += 1
+    if any(len(group) < 2 for group in rows.values()):
+        return
+    if any(sum(cnt.values()) < 2 for cnt in col_base.values()):
+        return
+    row_items = sorted((r, sorted(group)) for r, group in rows.items())
+    col_mate = {c: Counter() for c in col_base}
+    assignment = {}
+
+    def rec(i):
+        if i == len(row_items):
+            if all(col_mate[c] == col_base[c] for c in col_base):
+                yield trades.TradePair(p, 1, None, np.array([
+                    (r, c, s, assignment[(r, c)]) for (r, c), s in cellmap.items()
+                ]))
+            return
+        r, group = row_items[i]
+        for perm in itertools.permutations([s for _, s in group]):
+            if any(m == s for m, (_, s) in zip(perm, group)):
+                continue
+            ok, taken = True, []
+            for m, (c, _) in zip(perm, group):
+                col_mate[c][m] += 1
+                taken.append((c, m))
+                if col_mate[c][m] > col_base[c][m]:
+                    ok = False
+                    break
+            if ok:
+                for m, (c, _) in zip(perm, group):
+                    assignment[(r, c)] = m
+                yield from rec(i + 1)
+            for c, m in taken:
+                col_mate[c][m] -= 1
+
+    yield from rec(0)
+
+
+def _ref_cell_maps(p, extra):
+    # every cell map of itertools.product order, filtered by brute force:
+    # no repeated cell, no row or column holding a single cell
+    diag = {s: [(r, (s - r) % p) for r in range(p)] for s in extra}
+    bases = [0, 0] + [s for s in extra for _ in range(2)]
+    for choice in itertools.product(
+            *(itertools.combinations(diag[s], 2) for s in extra)):
+        cells = [(0, 0), (1, p - 1)] + [cell for pair in choice for cell in pair]
+        if len(set(cells)) < len(cells):
+            continue
+        rows, cols = Counter(r for r, _ in cells), Counter(c for _, c in cells)
+        if min(rows.values()) >= 2 and min(cols.values()) >= 2:
+            yield dict(zip(cells, bases))
+
+
+def _ref_symbol_twice_search(p, symbols):
+    # the search before the cell and mate walks
+    if symbols < 3 or symbols > p:
+        return None
+    diag = {s: tuple((r, (s - r) % p) for r in range(p)) for s in range(p)}
+    zero_cells = ((0, 0), (1, p - 1))
+    for extra in itertools.combinations(range(1, p), symbols - 1):
+        if not _ref_matrix_feasible(p, (0,) + extra):
+            continue
+        pools = [list(itertools.combinations(diag[s], 2)) for s in extra]
+        for choice in itertools.product(*pools):
+            cellmap = {cell: 0 for cell in zero_cells}
+            clash = False
+            for s, pair in zip(extra, choice):
+                for cell in pair:
+                    if cell in cellmap:
+                        clash = True
+                        break
+                    cellmap[cell] = s
+                if clash:
+                    break
+            if clash:
+                continue
+            for t in _ref_mate_completions(p, cellmap):
+                if not validate_latin_trade(t).is_latin_trade:
+                    continue
+                try:
+                    D, u = dissect.balance_matrix(t)
+                    dissect.trade_from_matrix(D, u, 2, p)
+                except ValueError:
+                    continue
+                return t
+    return None
+
+
+WALK_EXTRAS = [
+    (p, extra)
+    for p, most in ((5, 4), (7, 3))
+    for n in range(1, most + 1)
+    for extra in itertools.combinations(range(1, p), n)
+]
+
+
+@pytest.mark.parametrize("p, extra", WALK_EXTRAS, ids=str)
+def test_cell_walk_matches_brute_force(p, extra):
+    # the bound prunes only cell maps that leave a row or column of one cell
+    walked = [[((r, c), s) for r, c, s in cells] for cells in dissect._cell_sets(p, extra)]
+    assert walked == [list(m.items()) for m in _ref_cell_maps(p, extra)]
+
+
+def _assert_mate_walk_matches_reference(p, cell_sets):
+    for cells in cell_sets:
+        cellmap = {(r, c): s for r, c, s in cells}
+        assert (list(dissect._mate_completions(p, cells))
+                == list(_ref_mate_completions(p, cellmap)))
+
+
+@pytest.mark.parametrize("p, extra", WALK_EXTRAS, ids=str)
+def test_mate_walk_matches_reference(p, extra):
+    _assert_mate_walk_matches_reference(p, dissect._cell_sets(p, extra))
+
+
+@pytest.mark.parametrize("p, size", [(5, 2), (5, 3), (5, 4), (7, 2), (7, 3)])
+def test_mate_walk_matches_reference_on_anti_diagonal_unions(p, size):
+    # every row and column holds the same bases, so completions abound:
+    # 120 for p = 5, size = 4
+    _assert_mate_walk_matches_reference(p, (
+        [(r, c, (r + c) % p) for r in range(p) for c in range(p) if (r + c) % p in bases]
+        for bases in itertools.combinations(range(p), size)))
+
+
+@pytest.mark.parametrize("p, symbols", [(5, 2), (5, 3), (5, 4), (5, 5), (7, 3), (7, 4)])
+def test_search_matches_reference(p, symbols):
+    assert symbol_twice_search(p, symbols) == _ref_symbol_twice_search(p, symbols)
+
+
+@pytest.mark.slow
+def test_search_matches_reference_p7():
+    # the reference takes seconds here, the walks a fraction of one
+    t = symbol_twice_search(7, 5)
+    assert t is not None and t == _ref_symbol_twice_search(7, 5)
+
+
+@pytest.mark.parametrize("symbols", [5.0, True, "5"])
+def test_search_symbols_must_be_integers(symbols):
+    with pytest.raises(ValueError, match=f"symbols={symbols!r} is not an integer"):
+        symbol_twice_search(7, symbols)
+
+
 def test_search_minimality_p5():
     assert symbol_twice_search(5, 3) is None
     t = symbol_twice_search(5, 4)

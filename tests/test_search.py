@@ -15,6 +15,7 @@ from bptrades.search import (
     SPECTRUM_P_MAX,
     TRANSVERSAL_CAP,
     BudgetExpired,
+    _anti_diagonals,
     _certificate,
     _cover_search,
     _cover_tables,
@@ -23,6 +24,7 @@ from bptrades.search import (
     _off_anti_peak,
     _root_representatives,
     _sigma_search,
+    _symbol_swaps,
     _transversal_columns,
     admissible_mates,
     count_transversals,
@@ -861,6 +863,21 @@ def test_symbol_swap_sizes_surface_first():
     res = spectrum(11, 2, targets=frozenset({0, 22, 33}))
     multiples = {11 * m for m in range(2, 12)} | {0}
     assert multiples <= res.sizes
+
+
+@pytest.mark.parametrize("p", [5, 7, 17, 31])
+def test_symbol_swaps_match_anti_diagonal_certificates(p):
+    # the closed form is the anti-diagonal cover's certificate under the
+    # labels that cycle the symbols 0..m-1
+    antis = _anti_diagonals(p)
+    expected = {
+        m * p: _certificate(p, 2, antis, [(s + 1) % m if s < m else s for s in range(p)])
+        for m in (0, *range(2, p + 1))
+    }
+    sizes, certificates, exhaustive = _symbol_swaps(p, 2)
+    assert (sizes, exhaustive) == (set(expected), False)
+    assert [(n, t.to_json()) for n, t in certificates.items()] == [
+        (n, t.to_json()) for n, t in expected.items()]
 
 
 def test_spectrum_all_order_nine_slow_marker():
