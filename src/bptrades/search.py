@@ -31,15 +31,17 @@ lists its transversals in that order, once its anti-diagonal has been
 moved to the front.  The orbit roots are read off the group through
 (0, 0), and only that group's column tuples are kept.
 
-Row-permutation searches and orthomorphism scans cut the space by the
+The moved-row walk of the row-permutation search cuts the space by the
 affine conjugation symmetry, which preserves support sizes and per-k
-orthogonality; sets of achievable values are unaffected.
+orthogonality; sets of achievable values are unaffected.  The distance
+from a linear orthomorphism x -> k*x is read off the same walk: an
+orthomorphism theta differs from it exactly on the rows that the row
+permutation k^-1 * theta moves.
 
 The spectrum and row-permutation walks keep one witness per value, the
 first in walk order, and skip a subtree once every value it could still
-produce has one; the distance scan skips a subtree that cannot beat its
-best so far (branch and bound).  A skipped subtree holds no new value
-and no earlier witness, so the results match the full walk's.
+produce has one (branch and bound).  A skipped subtree holds no new
+value and no earlier witness, so the results match the full walk's.
 ``exhaustive`` therefore proves that every reachable value was
 witnessed, not that every leaf was visited.
 
@@ -72,6 +74,7 @@ from bptrades.core import (
     Orthomorphism,
     Transversal,
     _as_modulus,
+    _integer,
 )
 from bptrades.rowperm import RowPermutation, rowperm_orthogonal
 from bptrades.trades import TradePair, validate_orthogonal_trade
@@ -698,6 +701,7 @@ def spectrum(
     mod = _as_modulus(p)
     p = mod.p
     _check_spectrum_p(p, budget)
+    k = _integer(k, "k")
     if not (1 < k < p and gcd(k, p) == gcd(k - 1, p) == 1):
         raise ValueError(f"k={k} is not an admissible orthogonal mate mod {p}")
     start = time.monotonic()
@@ -856,6 +860,7 @@ def rowperm_sizes(
     p = mod.p
     if p > TRANSVERSAL_CAP:
         raise ValueError(f"p={p} above the exhaustive cap {TRANSVERSAL_CAP}")
+    mates = _integer(mates, "mates")
     if not 1 <= mates <= 5:
         raise ValueError(f"mates={mates} out of range 1..5")
     start = time.monotonic()
@@ -900,16 +905,12 @@ def rowperm_sizes(
 # -- orthomorphisms --------------------------------------------------------------
 
 
-def _orthomorphism_images(p: int, prefix=(), prune=None):
-    # the image v of x must be new, and so must v - x: the symbol of shift -x
-    return _backtrack(p, [(-x % p,) for x in range(p)], prefix, prune=prune)
-
-
 def enumerate_orthomorphisms(p: "int | Modulus", force: bool = False):
     """Yield every orthomorphism of Z_p, lexicographic by image tuple."""
     p = _as_modulus(p).p
     _check_cap(p, force)
-    for images in _orthomorphism_images(p):
+    # the image v of x must be new, and so must v - x: the symbol of shift -x
+    for images in _backtrack(p, [(-x % p,) for x in range(p)]):
         yield Orthomorphism(p, tuple(images))
 
 
@@ -917,41 +918,21 @@ def min_distance_from_linear(p: "int | Modulus", k: int, force: bool = False) ->
     """Exact minimum Hamming distance from x -> k*x to any other
     orthomorphism of Z_p.
 
-    Scans normalized representatives (theta(0) = 0; every orthomorphism
-    has exactly one fixed point, so each translation-conjugacy orbit is
-    represented exactly once); within an orbit the distance to the
-    linear map varies over the residue histogram of theta(x) - k*x, so
-    the orbit minimum is p minus the largest frequency (excluding the
-    linear map itself, frequency p at 0).
+    Let theta be an orthomorphism that differs from x -> k*x on a set D.
+    Then sigma = k^-1 * theta is a row permutation that moves exactly D,
+    and it preserves mate k^-1: the values sigma(x) - k^-1 * x =
+    k^-1 * (theta(x) - x) are distinct.  Conversely every such sigma
+    other than the identity gives the orthomorphism k * sigma.  So the
+    distance is the least moved-row count of ``_sigma_search`` for the
+    mate set {k^-1}, whose pruned walk records every count the full walk
+    reaches.
     """
     mod = _as_modulus(p, require_prime=True)
     p = mod.p
     _check_cap(p, force)
+    k = _integer(k, "k")
     if not 2 <= k <= p - 1:
         raise ValueError(f"k={k} out of range 2..{p - 1}")
-    linear = [k * x % p for x in range(p)]
-    best = p
-    # with rows < x set and c_d = #{i < x : theta(i) - k*i = d}, no count
-    # below exceeds max_d c_d + p - x: skip the subtree once that cannot
-    # beat ``best``.  counts[x] packs c_d into bits d*width.., tops[x] is
-    # max_d c_d
-    width = p.bit_length()
-    ones = (1 << width) - 1
-    counts = [0] * p
-    tops = [0] * p
-
-    def prune(x, images):
-        d = (images[x - 1] - linear[x - 1]) % p * width
-        packed = counts[x] = counts[x - 1] + (1 << d)
-        top = tops[x - 1]
-        if packed >> d & ones > top:
-            top += 1
-        tops[x] = top
-        return top + p - x <= p - best
-
-    for images in _orthomorphism_images(p, (0,), prune):
-        freq = Counter((v - w) % p for v, w in zip(images, linear))
-        for count in freq.values():
-            if count != p and p - count < best:
-                best = p - count
-    return best
+    counts: set[int] = set()
+    _sigma_search(p, (pow(k, -1, p),), lambda m, sigma: counts.add(m), None, ())
+    return min(counts)

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bptrades.search import (
     TRANSVERSAL_CAP,
     BudgetExpired,
     _anti_diagonals,
+    _backtrack,
     _certificate,
     _cover_search,
     _cover_tables,
@@ -67,7 +69,10 @@ MIN_DIST = {
     5: {2: 4, 3: 4, 4: 4},
     7: {2: 5, 3: 3, 4: 5, 5: 3, 6: 5},
     11: {k: 5 for k in range(2, 11)},
+    13: {2: 6, 3: 4, 4: 3, 5: 4, 6: 4, 7: 6, 8: 4, 9: 4, 10: 3, 11: 4, 12: 6},
 }
+# the diagonal gap, min_distance_from_linear(p, 2), above the cap
+GAP_2 = {17: 6, 19: 6, 23: 7, 29: 7, 31: 7, 37: 7}
 
 
 # -- oracles ----------------------------------------------------------------
@@ -359,6 +364,42 @@ def _ref_rowperm_witnesses(p, mates):
         for m, sigma in _ref_sigma_records(p, K):
             witnesses.setdefault(m, (sigma, K))
     return list(witnesses.items())
+
+
+def _ref_min_distance(p, k):
+    # the orthomorphism scan min_distance_from_linear ran before it read
+    # its answer off the moved-row walk.  It scans the representatives
+    # with theta(0) = 0 (every orthomorphism has exactly one fixed point,
+    # so each translation-conjugacy orbit is met once); within an orbit
+    # the distance to x -> k*x varies over the residue histogram of
+    # theta(x) - k*x, so the orbit minimum is p minus the largest
+    # frequency, the linear map's own frequency p aside
+    linear = [k * x % p for x in range(p)]
+    best = p
+    # with rows < x set and c_d = #{i < x : theta(i) - k*i = d}, no count
+    # below exceeds max_d c_d + p - x: skip the subtree once that cannot
+    # beat ``best``.  counts[x] packs c_d into bits d*width.., tops[x] is
+    # max_d c_d
+    width = p.bit_length()
+    ones = (1 << width) - 1
+    counts = [0] * p
+    tops = [0] * p
+
+    def prune(x, images):
+        d = (images[x - 1] - linear[x - 1]) % p * width
+        packed = counts[x] = counts[x - 1] + (1 << d)
+        top = tops[x - 1]
+        if packed >> d & ones > top:
+            top += 1
+        tops[x] = top
+        return top + p - x <= p - best
+
+    for images in _backtrack(p, [(-x % p,) for x in range(p)], (0,), prune=prune):
+        freq = Counter((v - w) % p for v, w in zip(images, linear))
+        for count in freq.values():
+            if count != p and p - count < best:
+                best = p - count
+    return best
 
 
 @pytest.mark.parametrize("p", [5, 7, 9])
@@ -975,10 +1016,32 @@ def test_orthomorphism_cap():
         list(enumerate_orthomorphisms(17))
 
 
-@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_min_distances_frozen(p):
     for k in range(2, p):
         assert min_distance_from_linear(p, k) == MIN_DIST[p][k]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, pytest.param(13, marks=pytest.mark.slow)])
+def test_min_distance_matches_reference_scan(p):
+    for k in range(2, p):
+        assert min_distance_from_linear(p, k) == _ref_min_distance(p, k), k
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_min_distance_two_is_the_diagonal_gap(p):
+    # theta(r) = r + c_r for a transversal c of B_p(1), and the cell (r, c_r)
+    # lies on the diagonal where theta(r) = 2r: the two searches share no code
+    hits = max(h for h in diagonal_histogram(p) if h != p)
+    assert p - hits == min_distance_from_linear(p, 2) == MIN_DIST[p][2]
+
+
+@pytest.mark.parametrize("p", [17, 19, 23, 29, pytest.param(31, marks=pytest.mark.slow),
+                               pytest.param(37, marks=pytest.mark.slow)])
+def test_diagonal_gap_above_the_cap(p):
+    d = min_distance_from_linear(p, 2, force=True)
+    assert d == GAP_2[p]
+    assert d >= math.log2(p) + 1
 
 
 def test_min_distance_by_brute_force():
@@ -994,7 +1057,7 @@ def test_min_distance_by_brute_force():
 
 
 def test_min_distance_clears_perm_bound():
-    for p in (5, 7, 11):
+    for p in (5, 7, 11, 13):
         for k in range(2, p):
             assert min_distance_from_linear(p, k) > size_bounds(p, k).perm_lb - 1 - 1e-9
 
@@ -1004,3 +1067,18 @@ def test_min_distance_rejects_bad_input():
         min_distance_from_linear(9, 2)
     with pytest.raises(ValueError, match="out of range"):
         min_distance_from_linear(7, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rowperm_sizes(7, True),
+    lambda: rowperm_sizes(7, 2.0),
+    lambda: spectrum(5, True),
+    lambda: spectrum(5, 2.0),
+    lambda: min_distance_from_linear(7, True),
+    lambda: min_distance_from_linear(7, 2.5),
+], ids=["rowperm-bool", "rowperm-float", "spectrum-bool", "spectrum-float",
+        "distance-bool", "distance-float"])
+def test_search_entry_points_refuse_non_integers(call):
+    # bool passed as 1 and floats reached gcd or range(): a TypeError
+    with pytest.raises(ValueError, match="is not an integer"):
+        call()
