@@ -2,7 +2,6 @@
 
 from bptrades.core import (
     LatinSquare,
-    Modulus,
     Orthomorphism,
     Transversal,
     are_orthogonal,

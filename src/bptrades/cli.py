@@ -50,8 +50,8 @@ from bptrades.trades import (
 
 __all__ = ["run", "main", "emit_svg"]
 
-GEN_P_MAX = 2000  # gen prints p^2 cells: at most 4e6, about 25 MB of JSON
-FAMILY_MAX_ENTRIES = 2_000_000  # 3k(k-1) entries: 443,520 at p = 907; every p < 1600 fits
+GEN_P_MAX = 2000  # gen prints p^2 cells: at most 4e6, about 25 MB of JSON; also --force's cap
+FAMILY_MAX_ENTRIES = 2_000_000  # 3k(k-1) entries: 443,520 at p = 907; 3p for threerow
 
 
 def emit_svg(d: SquareDissection, path: str) -> None:
@@ -161,6 +161,12 @@ def _cmd_canon(args) -> int:
     return 0
 
 
+def _check_force(p: int, force: bool) -> None:
+    # --force lifts the exhaustive cap only: the searches still build p x p tables
+    if force and p > GEN_P_MAX:
+        raise ValueError(f"p={p} above {GEN_P_MAX}, the largest order --force admits")
+
+
 def _cmd_construct(args) -> int:
     if args.shape == "family":
         # before construct, which allocates 3k(k-1) entries
@@ -175,6 +181,11 @@ def _cmd_construct(args) -> int:
         intercalate = json.dumps({"cells": [list(t) for t in witness.intercalate]})
         print(f'{witness.trade.to_json()[:-1]}, "intercalate": {intercalate}}}')
     elif args.shape == "threerow":
+        # before three_row_trade, which allocates p images and 3p entries;
+        # find_k first refuses, with exit 1, a p that three_row_trade refuses
+        if 3 * args.p > FAMILY_MAX_ENTRIES and find_k(args.p):
+            raise _Fail(2, f"p={args.p} gives a trade of {3 * args.p} entries, "
+                           f"above the cap of {FAMILY_MAX_ENTRIES}")
         got = three_row_trade(args.p)
         if got is None:
             raise _Fail(1, f"no three-row trade: p={args.p} is not 1 (mod 6)")
@@ -246,6 +257,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_transversals(args) -> int:
+    _check_force(args.p, args.force)
     if args.histogram:
         hist = diagonal_histogram(args.p, force=args.force)
         if args.pretty:
@@ -267,6 +279,7 @@ def _cmd_transversals(args) -> int:
 
 
 def _cmd_orthomorphisms(args) -> int:
+    _check_force(args.p, args.force)
     if args.min_distance_from is not None:
         d = min_distance_from_linear(args.p, args.min_distance_from, force=args.force)
         _print_json({"p": args.p, "k": args.min_distance_from, "min_distance": d})
@@ -390,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--histogram", action="store_true", help="diagonal-hit histogram")
-    sp.add_argument("--force", action="store_true", help="ignore the order cap")
+    sp.add_argument("--force", action="store_true", help="lift the exhaustive cap")
     add_pretty(sp)
     sp.set_defaults(func=_cmd_transversals)
 
@@ -402,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="minimum distance from the linear map x -> K x",
     )
-    sp.add_argument("--force", action="store_true", help="ignore the order cap")
+    sp.add_argument("--force", action="store_true", help="lift the exhaustive cap")
     sp.set_defaults(func=_cmd_orthomorphisms)
 
     sp = sub.add_parser("bounds", help="size lower bounds for index (1, k)")

@@ -3,7 +3,9 @@
 The square B_p(k) has cell (i, j) = k*i + j mod p.  For prime p the
 family {B_p(1), ..., B_p(p-1)} is a complete set of p-1 mutually
 orthogonal Latin squares.  This module holds the square type itself,
-orthogonality and transversal checks, and orthomorphisms of Z_p.
+the integer, modulus and mate rules that every module checks its
+inputs by, orthogonality and transversal checks, and orthomorphisms
+of Z_p.
 """
 
 from __future__ import annotations
@@ -11,12 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Modulus",
     "LatinSquare",
     "Transversal",
     "Orthomorphism",
@@ -68,43 +70,47 @@ def primes_up_to(limit: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """An odd modulus with its primality recorded at construction."""
-
-    p: int
-    prime: bool
-
-    @classmethod
-    def of_prime(cls, p: int) -> "Modulus":
-        p = _integer(p, "p")
-        if p < 3 or p % 2 == 0 or not is_prime(p):
-            raise ValueError(f"modulus {p} is not an odd prime")
-        return cls(p, True)
-
-    @classmethod
-    def of_odd(cls, p: int) -> "Modulus":
-        """Admits odd composites; prime-only operations must check .prime."""
-        p = _integer(p, "p")
-        if p < 3 or p % 2 == 0:
-            raise ValueError(f"modulus {p} must be odd and at least 3")
-        return cls(p, is_prime(p))
-
-
 def _integer(value: object, name: str) -> int:
     """``value`` as an int if it is a Python or numpy integer, else
     ValueError: the integer rule of FORMATS.md.  ``int()`` would
     truncate 7.9 and accept True or "7"."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name}={value!r} is not an integer")
     return int(value)
 
 
-def _as_modulus(p: "int | Modulus", require_prime: bool = False) -> Modulus:
-    mod = p if isinstance(p, Modulus) else Modulus.of_odd(p)
-    if require_prime and not mod.prime:
-        raise ValueError(f"p={mod.p} must be prime")
-    return mod
+def _modulus(p: object, prime: bool = False) -> int:
+    """The modulus rule: p an odd integer at least 3, and prime when
+    ``prime`` is set."""
+    p = _integer(p, "p")
+    if p < 3 or p % 2 == 0:
+        raise ValueError(f"p={p} must be odd and at least 3")
+    if prime and not is_prime(p):
+        raise ValueError(f"p={p} must be prime")
+    return p
+
+
+def _unit(x: object, p: int, name: str) -> int:
+    """x an integer in 1..p-1 coprime to the modulus p."""
+    x = _integer(x, name)
+    if not (1 <= x < p and math.gcd(x, p) == 1):
+        raise ValueError(f"{name}={x} is not a unit mod {p} in 1..{p - 1}")
+    return x
+
+
+def _mate(k: object, p: int) -> int:
+    """The mate rule: k in 2..p-1 with k and k - 1 units mod p, so that
+    B_p(k) is an orthogonal mate of B_p(1)."""
+    k = _integer(k, "k")
+    if not 2 <= k < p:
+        why = f"out of range 2..{p - 1}"
+    elif math.gcd(k * (k - 1), p) != 1:
+        why = "k or k-1 is not a unit"
+    else:
+        return k
+    raise ValueError(f"k={k} is not an admissible orthogonal mate mod {p} ({why})")
 
 
 class LatinSquare:
@@ -206,17 +212,13 @@ class LatinSquare:
         return cls(rows)
 
 
-def gen_bp(p: "int | Modulus", k: int) -> LatinSquare:
+def gen_bp(p: int, k: int) -> LatinSquare:
     """Build B_p(k), the square with cell (i, j) = k*i + j mod p.
 
     Requires 1 <= k <= p-1 and gcd(k, p) = 1 (automatic for prime p).
     """
-    n = _as_modulus(p).p
-    k = _integer(k, "k")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k={k} out of range 1..{n - 1}")
-    if math.gcd(k, n) != 1:
-        raise ValueError(f"k={k} is not a unit mod {n}")
+    n = _modulus(p)
+    k = _unit(k, n, "k")
     i = np.arange(n, dtype=np.int64)
     rows = (k * i[:, None] + i[None, :]) % n
     return LatinSquare._proved(rows, label=(n, k))
@@ -231,10 +233,10 @@ def are_orthogonal(left: LatinSquare, right: LatinSquare) -> bool:
     return int(np.bincount(pairs, minlength=n * n).max()) == 1
 
 
-def mols_family(p: "int | Modulus") -> list[LatinSquare]:
+def mols_family(p: int) -> list[LatinSquare]:
     """The complete family [B_p(1), ..., B_p(p-1)]; p must be prime."""
-    mod = _as_modulus(p, require_prime=True)
-    return [gen_bp(mod, k) for k in range(1, mod.p)]
+    p = _modulus(p, prime=True)
+    return [gen_bp(p, k) for k in range(1, p)]
 
 
 @dataclass(frozen=True)
@@ -245,13 +247,16 @@ class Transversal:
     cells: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        n = self.order
-        if len(self.cells) != n:
-            raise ValueError(f"expected {n} cells, got {len(self.cells)}")
-        for r, c in self.cells:
+        n = _integer(self.order, "order")
+        cells = tuple((_integer(r, "row"), _integer(c, "column")) for r, c in self.cells)
+        object.__setattr__(self, "order", n)
+        object.__setattr__(self, "cells", cells)
+        if len(cells) != n:
+            raise ValueError(f"expected {n} cells, got {len(cells)}")
+        for r, c in cells:
             if not (0 <= r < n and 0 <= c < n):
                 raise ValueError(f"cell ({r}, {c}) out of range for order {n}")
-        if [r for r, _ in self.cells] != sorted({r for r, _ in self.cells}):
+        if [r for r, _ in cells] != sorted({r for r, _ in cells}):
             raise ValueError("cells must be sorted by row, one per row")
 
     def to_json(self) -> str:
@@ -260,10 +265,7 @@ class Transversal:
     @classmethod
     def from_json(cls, text: str) -> "Transversal":
         obj = json.loads(text)
-        return cls(
-            _integer(obj["p"], "p"),
-            tuple((_integer(r, "row"), _integer(c, "column")) for r, c in obj["cells"]),
-        )
+        return cls(_integer(obj["p"], "p"), obj["cells"])
 
 
 def is_transversal(square: LatinSquare, t: Transversal) -> bool:
@@ -286,14 +288,19 @@ class Orthomorphism:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.images) != self.p:
-            raise ValueError(f"expected {self.p} images, got {len(self.images)}")
-        for x in self.images:
-            if not 0 <= x < self.p:
-                raise ValueError(f"image {x} out of range mod {self.p}")
+        p = _integer(self.p, "p")
+        images = tuple(map(_integer, self.images, repeat("image")))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "images", images)
+        if len(images) != p:
+            raise ValueError(f"expected {p} images, got {len(images)}")
+        for x in images:
+            if not 0 <= x < p:
+                raise ValueError(f"image {x} out of range mod {p}")
 
     @classmethod
     def linear(cls, p: int, k: int) -> "Orthomorphism":
+        p, k = _integer(p, "p"), _integer(k, "k")
         return cls(p, tuple(k * x % p for x in range(p)))
 
     def to_json(self) -> str:
@@ -302,10 +309,7 @@ class Orthomorphism:
     @classmethod
     def from_json(cls, text: str) -> "Orthomorphism":
         obj = json.loads(text)
-        return cls(
-            _integer(obj["p"], "p"),
-            tuple(_integer(x, "image") for x in obj["images"]),
-        )
+        return cls(obj["p"], obj["images"])
 
 
 def orthomorphism_check(phi: Orthomorphism) -> bool:

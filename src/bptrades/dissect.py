@@ -28,7 +28,7 @@ from importlib import resources
 
 import numpy as np
 
-from bptrades.core import Modulus, _as_modulus, _integer
+from bptrades.core import _integer, _modulus
 from bptrades.matrices import balance_matrix
 from bptrades.rowperm import RowPermutation, trade_from_matrix
 from bptrades.trades import TradePair, validate_latin_trade
@@ -373,7 +373,7 @@ def _stored_small_trade(p: int) -> TradePair:
     return TradePair.from_json(text)
 
 
-def log_trade(p: "int | Modulus") -> TradePair:
+def log_trade(p: int) -> TradePair:
     """Symbol-twice Latin trade in B_p of size O(log p), p an odd prime >= 5.
 
     p = 5 and 7 sit below the dissection construction and use stored
@@ -381,17 +381,15 @@ def log_trade(p: "int | Modulus") -> TradePair:
     good_dissection((p-3)/2), so the size is at most
     2*(3 + 5*log4((p-1)/2)) + 2.
     """
-    mod = _as_modulus(p, require_prime=True)
-    if mod.p < 5:
-        raise ValueError(f"p={mod.p} admits no symbol-twice trade")
-    if mod.p in (5, 7):
-        return _stored_small_trade(mod.p)
-    return _trade_of_good(good_dissection((mod.p - 3) // 2))
+    p = _modulus(p, prime=True)
+    if p < 5:
+        raise ValueError(f"p={p} admits no symbol-twice trade")
+    if p in (5, 7):
+        return _stored_small_trade(p)
+    return _trade_of_good(good_dissection((p - 3) // 2))
 
 
-def small_rowperm_pipeline(
-    p: "int | Modulus",
-) -> tuple[RowPermutation, TradePair]:
+def small_rowperm_pipeline(p: int) -> tuple[RowPermutation, TradePair]:
     """Orthogonal trade of index (1, 2) permuting O(log p) rows of B_p.
 
     Chains log_trade -> balance_matrix -> trade_from_matrix with k = 2.
@@ -493,8 +491,7 @@ def symbol_twice_search(p: int, symbols: int) -> "TradePair | None":
     and trade_from_matrix(D, u, 2, p) accept is returned: the first hit
     in lexicographic order.
     """
-    mod = Modulus.of_odd(p)
-    p = mod.p
+    p = _modulus(p)
     symbols = _integer(symbols, "symbols")
     if symbols < 3 or symbols > p:
         return None

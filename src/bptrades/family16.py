@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bptrades.core import Modulus, _as_modulus
+from bptrades.core import _modulus
 from bptrades.rowperm import find_k
 from bptrades.trades import TradePair, validate_orthogonal_trade
 
@@ -45,15 +45,15 @@ def _range_cells(p: int, k: int, ranges: list[tuple[int, ...]]) -> tuple[np.ndar
     return np.repeat(row, n), j, (j + np.repeat(shift, n)) % p
 
 
-def construct(p: "int | Modulus") -> FamilyWitness:
+def construct(p: int) -> FamilyWitness:
     """Build the size-3k(k-1) orthogonal trade of index (1, k).
 
     Cell sets follow the displayed unions verbatim, one column range per
     (i, row, lo, hi, shift) below; ranges that come out empty (the first
     mate set at i = k-1, the last at i = 0) contribute no cells.
     """
+    p = _modulus(p, prime=True)
     k = find_k(p)
-    p = _as_modulus(p).p
     # row 0 is row i(k-1) at i = 0
     base = [(0, 0, 0, k - 1, 0), (0, 0, k, 2 * k - 1, 0)]
     mate = [(0, 0, 0, k - 1, k), (0, 0, k, 2 * k - 1, -k)]

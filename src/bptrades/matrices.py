@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from bptrades.core import is_prime
+from bptrades.core import _mate, _modulus
 from bptrades.trades import TradePair, validate_latin_trade, validate_orthogonal_trade
 
 __all__ = [
@@ -38,7 +38,6 @@ class TradeMatrix:
 
     m: int
     entries: tuple[tuple[int, ...], ...]
-    role: str = "generic"
 
     def __post_init__(self) -> None:
         if self.m < 1 or len(self.entries) != self.m:
@@ -59,7 +58,6 @@ class TradeMatrix:
         return TradeMatrix(
             self.m - 1,
             tuple(tuple(self.entries[r][c] for c in keep) for r in keep),
-            self.role,
         )
 
     def apply(self, u: tuple[int, ...]) -> tuple[int, ...]:
@@ -143,7 +141,7 @@ def symbol_system(t: TradePair, s: int) -> SymbolSystem:
         row[index[phi[r]]] -= 1
         row[index[phi_prime[r]]] -= k - 1
         entries.append(tuple(row))
-    matrix = TradeMatrix(len(rows), tuple(entries), "symbol_system")
+    matrix = TradeMatrix(len(rows), tuple(entries))
     if any(v % p for v in matrix.apply(rows)):
         raise ValueError(f"A*u != 0 mod {p} for symbol {s}; corrupt trade")
     return SymbolSystem(matrix, rows, rows, phi, phi_prime, s, k)
@@ -171,7 +169,7 @@ def balance_matrix(t: TradePair) -> tuple[TradeMatrix, tuple[int, ...]]:
     for _, _, base, mate in t.entries:
         grid[index[base]][index[base]] += 1
         grid[index[mate]][index[base]] -= 1
-    matrix = TradeMatrix(m, tuple(tuple(row) for row in grid), "balance")
+    matrix = TradeMatrix(m, tuple(tuple(row) for row in grid))
     if any(v % t.p for v in matrix.apply(symbols)):
         raise ValueError(f"D*u != 0 mod {t.p}; inconsistent trade")
     return matrix, symbols
@@ -252,10 +250,8 @@ def size_bounds(p: int, k: int) -> SizeBounds:
     perm_lb the number of rows moved by a row-permutation trade.
     Logarithms are natural.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p={p} must be an odd prime")
-    if not 2 <= k <= p - 1:
-        raise ValueError(f"k={k} out of range 2..{p - 1}")
+    p = _modulus(p, prime=True)
+    k = _mate(k, p)
     K = min(k, pow(k, -1, p))
     log_K_p = math.log(p) / math.log(K)
     symbol_lb = log_K_p + 1

@@ -10,10 +10,11 @@ so the support values must hit {(k-1)*r : r in R} exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from bptrades.core import Modulus, _as_modulus, is_prime
+from bptrades.core import _integer, _mate, _modulus
 from bptrades.matrices import TradeMatrix, symbol_system
 from bptrades.trades import TradePair, validate_orthogonal_trade
 
@@ -43,25 +44,29 @@ class RowPermutation:
     support: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.images) != self.p:
-            raise ValueError(f"expected {self.p} images, got {len(self.images)}")
-        if sorted(self.images) != list(range(self.p)):
+        p = _integer(self.p, "p")
+        images = tuple(map(_integer, self.images, repeat("image")))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "images", images)
+        if len(images) != p:
+            raise ValueError(f"expected {p} images, got {len(images)}")
+        if sorted(images) != list(range(p)):
             raise ValueError("images are not a permutation of Z_p")
-        support = tuple(r for r in range(self.p) if self.images[r] != r)
+        support = tuple(r for r in range(p) if images[r] != r)
         if len(support) in (1, 2):
             raise ValueError(f"support of size {len(support)} cannot carry a trade")
         object.__setattr__(self, "support", support)
 
     @classmethod
     def from_cycle(cls, p: int, cycle: "tuple[int, ...]") -> "RowPermutation":
-        images = list(range(p))
+        images = list(range(_integer(p, "p")))
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             images[a] = b
         return cls(p, tuple(images))
 
     @classmethod
     def from_map(cls, p: int, moved: dict[int, int]) -> "RowPermutation":
-        images = list(range(p))
+        images = list(range(_integer(p, "p")))
         for a, b in moved.items():
             images[a] = b
         return cls(p, tuple(images))
@@ -70,9 +75,7 @@ class RowPermutation:
 def rowperm_orthogonal(sigma: RowPermutation, ks: "set[int] | frozenset[int]") -> bool:
     """Whether the row-permuted square is orthogonal to B_p(k) for all k in ks."""
     p = sigma.p
-    for k in ks:
-        if not 2 <= k <= p - 1:
-            raise ValueError(f"k={k} out of range 2..{p - 1}")
+    ks = [_mate(k, p) for k in ks]
     supp = sigma.support
     for k in ks:
         vals = {(k * r - sigma.images[r]) % p for r in supp}
@@ -121,13 +124,13 @@ def trade_from_matrix(A: TradeMatrix, u: tuple[int, ...], k: int, p: int) -> Tra
     column edge of the least row of each cycle as phi.  A -2 entry
     would force phi = phi_prime on a row, which no trade allows.
     """
+    p = _modulus(p)
+    k = _mate(k, p)
     m = A.m
     if len(u) != m or len(set(u)) != m:
         raise ValueError("u must label the rows with distinct residues")
     if any(not 0 <= x < p for x in u):
         raise ValueError(f"u entries out of range mod {p}")
-    if not 2 <= k <= p - 1:
-        raise ValueError(f"k={k} out of range 2..{p - 1}")
 
     if k == 2:
         cols: list[list[int]] = []
@@ -186,9 +189,8 @@ def sqrt_mod(a: int, p: int) -> "int | None":
     The auxiliary non-residue is the smallest one, so results are
     deterministic.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p={p} must be an odd prime")
-    a %= p
+    p = _modulus(p, prime=True)
+    a = _integer(a, "a") % p
     if a == 0:
         return 0
     if pow(a, (p - 1) // 2, p) != 1:
@@ -219,9 +221,9 @@ def sqrt_mod(a: int, p: int) -> "int | None":
     return min(r, p - r)
 
 
-def three_row_trade(p: "int | Modulus") -> "tuple[RowPermutation, int] | None":
+def three_row_trade(p: int) -> "tuple[RowPermutation, int] | None":
     """The three-cycle trade (0 -> 1 -> find_k(p) -> 0), present iff p = 1 mod 6."""
-    p = _as_modulus(p, require_prime=True).p
+    p = _modulus(p, prime=True)
     if p % 6 != 1:
         return None
     k = find_k(p)
@@ -231,13 +233,13 @@ def three_row_trade(p: "int | Modulus") -> "tuple[RowPermutation, int] | None":
     return sigma, k
 
 
-def find_k(p: "int | Modulus") -> int:
+def find_k(p: int) -> int:
     """The root of k^2 - k + 1 = 0 mod p lying in [2, (p+1)/2].
 
     Roots come in pairs k, 1-k, so exactly one representative lands in
     the range; it exists iff p = 1 mod 6.
     """
-    p = _as_modulus(p, require_prime=True).p
+    p = _modulus(p, prime=True)
     if p % 6 != 1:
         raise ValueError(f"p={p} is not 1 mod 6; no k with k^2-k+1 = 0 exists")
     s = sqrt_mod(-3, p)

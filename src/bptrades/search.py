@@ -68,14 +68,7 @@ from operator import getitem, itemgetter, ne, or_
 
 import numpy as np
 
-from bptrades.core import (
-    LatinSquare,
-    Modulus,
-    Orthomorphism,
-    Transversal,
-    _as_modulus,
-    _integer,
-)
+from bptrades.core import LatinSquare, Orthomorphism, Transversal, _integer, _mate, _modulus
 from bptrades.rowperm import RowPermutation, rowperm_orthogonal
 from bptrades.trades import TradePair, validate_orthogonal_trade
 
@@ -260,7 +253,7 @@ def count_transversals(L: LatinSquare, force: bool = False) -> int:
     return sum(1 for _ in _transversal_columns(L))
 
 
-def diagonal_histogram(p: "int | Modulus", force: bool = False) -> dict[int, int]:
+def diagonal_histogram(p: int, force: bool = False) -> dict[int, int]:
     """Histogram of diagonal-hit counts over all transversals of B_p(1).
 
     A transversal is a column list c with r + c_r distinct; it hits the
@@ -287,8 +280,7 @@ def diagonal_histogram(p: "int | Modulus", force: bool = False) -> dict[int, int
     and -r) count.  Checks that the only keys are p itself or values at
     most p - log2(p) - 1.
     """
-    mod = _as_modulus(p, require_prime=True)
-    p = mod.p
+    p = _modulus(p, prime=True)
     _check_cap(p, force)
     # shape of a pinned transversal: the sorted nonzero values of delta
     diff = [[(c - r) % p for c in range(p)] for r in range(p)]
@@ -344,9 +336,8 @@ class SpectrumResult:
 
 def admissible_mates(p: int) -> tuple[int, ...]:
     """The k in 2..p-1 with B_p(k) Latin and orthogonal to B_p(1)."""
-    return tuple(
-        k for k in range(2, p) if gcd(k, p) == 1 and gcd(k - 1, p) == 1
-    )
+    p = _modulus(p)
+    return tuple(k for k in range(2, p) if gcd(k * (k - 1), p) == 1)
 
 
 def _root_representatives(
@@ -681,7 +672,7 @@ def _check_spectrum_p(p: int, budget: "float | None") -> None:
 
 
 def spectrum(
-    p: "int | Modulus",
+    p: int,
     k: int,
     budget: "float | None" = None,
     targets: "frozenset | None" = None,
@@ -698,12 +689,9 @@ def spectrum(
     is required: the enumeration alone would not finish.  p above
     ``SPECTRUM_P_MAX`` is refused.
     """
-    mod = _as_modulus(p)
-    p = mod.p
+    p = _modulus(p)
     _check_spectrum_p(p, budget)
-    k = _integer(k, "k")
-    if not (1 < k < p and gcd(k, p) == gcd(k - 1, p) == 1):
-        raise ValueError(f"k={k} is not an admissible orthogonal mate mod {p}")
+    k = _mate(k, p)
     start = time.monotonic()
     deadline = _deadline(budget)
     try:
@@ -725,7 +713,7 @@ def spectrum(
 
 
 def spectrum_all(
-    p: "int | Modulus",
+    p: int,
     budget: "float | None" = None,
     targets: "frozenset | None" = None,
 ) -> SpectrumResult:
@@ -735,8 +723,7 @@ def spectrum_all(
     the same size, so only one k per inverse pair is enumerated; the
     copied entries are listed in via_duality.
     """
-    mod = _as_modulus(p)
-    p = mod.p
+    p = _modulus(p)
     _check_spectrum_p(p, budget)
     start = time.monotonic()
     deadline = _deadline(budget)
@@ -753,7 +740,7 @@ def spectrum_all(
             exhaustive = False
             break
         left = None if deadline is None else max(0.0, deadline - time.monotonic())
-        res = spectrum(mod, k, budget=left, targets=remaining)
+        res = spectrum(p, k, budget=left, targets=remaining)
         per_k[k] = res.per_k[k]
         inv = pow(k, -1, p)
         if inv != k:
@@ -847,7 +834,7 @@ def _sigma_search(p, ks, record, deadline, witnessed=None):
 
 
 def rowperm_sizes(
-    p: "int | Modulus", mates: int, budget: "float | None" = None
+    p: int, mates: int, budget: "float | None" = None
 ) -> RowPermSearchResult:
     """Moved-row counts m achievable by permutations preserving
     orthogonality with ``mates`` squares B_p(k) simultaneously.
@@ -856,8 +843,7 @@ def rowperm_sizes(
     permutations up to affine conjugation; m = p is always present (the
     shifts) and m = p-1 whenever some scaling avoids the mate set.
     """
-    mod = _as_modulus(p, require_prime=True)
-    p = mod.p
+    p = _modulus(p, prime=True)
     if p > TRANSVERSAL_CAP:
         raise ValueError(f"p={p} above the exhaustive cap {TRANSVERSAL_CAP}")
     mates = _integer(mates, "mates")
@@ -905,16 +891,16 @@ def rowperm_sizes(
 # -- orthomorphisms --------------------------------------------------------------
 
 
-def enumerate_orthomorphisms(p: "int | Modulus", force: bool = False):
+def enumerate_orthomorphisms(p: int, force: bool = False):
     """Yield every orthomorphism of Z_p, lexicographic by image tuple."""
-    p = _as_modulus(p).p
+    p = _modulus(p)
     _check_cap(p, force)
     # the image v of x must be new, and so must v - x: the symbol of shift -x
     for images in _backtrack(p, [(-x % p,) for x in range(p)]):
         yield Orthomorphism(p, tuple(images))
 
 
-def min_distance_from_linear(p: "int | Modulus", k: int, force: bool = False) -> int:
+def min_distance_from_linear(p: int, k: int, force: bool = False) -> int:
     """Exact minimum Hamming distance from x -> k*x to any other
     orthomorphism of Z_p.
 
@@ -927,12 +913,9 @@ def min_distance_from_linear(p: "int | Modulus", k: int, force: bool = False) ->
     mate set {k^-1}, whose pruned walk records every count the full walk
     reaches.
     """
-    mod = _as_modulus(p, require_prime=True)
-    p = mod.p
+    p = _modulus(p, prime=True)
     _check_cap(p, force)
-    k = _integer(k, "k")
-    if not 2 <= k <= p - 1:
-        raise ValueError(f"k={k} out of range 2..{p - 1}")
+    k = _mate(k, p)
     counts: set[int] = set()
     _sigma_search(p, (pow(k, -1, p),), lambda m, sigma: counts.add(m), None, ())
     return min(counts)

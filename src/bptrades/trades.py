@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from bptrades.core import LatinSquare, _integer, gen_bp
+from bptrades.core import LatinSquare, _integer, _modulus, _unit, gen_bp
 
 __all__ = [
     "TradePair",
@@ -63,16 +63,11 @@ class TradePair:
 
     def __init__(self, p: int, ell: int, k: "int | None",
                  entries: "Sequence[Sequence[int]] | np.ndarray"):
-        p, ell = _integer(p, "p"), _integer(ell, "ell")
-        k = None if k is None else _integer(k, "k")
-        if p < 3 or p % 2 == 0:
-            raise ValueError(f"p={p} must be odd and at least 3")
+        p = _modulus(p)
         if p > P_MAX:
             raise ValueError(f"p={p} exceeds {P_MAX}, the largest supported modulus")
-        if not (1 <= ell < p and math.gcd(ell, p) == 1):
-            raise ValueError(f"ell={ell} is not a unit mod {p}")
-        if k is not None and not (1 <= k < p and math.gcd(k, p) == 1):
-            raise ValueError(f"k={k} is not a unit mod {p}")
+        ell = _unit(ell, p, "ell")
+        k = None if k is None else _unit(k, p, "k")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "k", k)

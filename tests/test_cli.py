@@ -362,6 +362,24 @@ def test_construct_threerow(capsys):
     assert validate_orthogonal_trade(trade)
 
 
+def test_construct_threerow_refuses_large_trade_before_building(capsys, monkeypatch):
+    # p = 1,000,003 took 4.8 s and 942 MB to print 91 MB of JSON; the
+    # image lists and the 3p entries grow linearly in p
+    monkeypatch.setattr("bptrades.cli.three_row_trade", _never_called)
+    code, out, err = _invoke(capsys, "construct", "threerow", "--p", 1000003)
+    assert (code, out) == (2, "")
+    assert "p=1000003 gives a trade of 3000009 entries, above the cap of 2000000" in err
+    # a p that three_row_trade refuses exits 1 above the cap too: a
+    # composite, and a prime that is 5 mod 6
+    for p in (1000001, 1000037):
+        code, out, err = _invoke(capsys, "construct", "threerow", "--p", p)
+        assert (code, out) == (1, "") and err
+    # the largest prime p = 1 mod 6 under the cap, 3p = 1,999,947, is built
+    monkeypatch.setattr("bptrades.cli.three_row_trade", lambda p: None)
+    code, _, err = _invoke(capsys, "construct", "threerow", "--p", 666649)
+    assert code == 1 and "no three-row trade" in err
+
+
 def test_construct_threerow_wrong_residue(capsys):
     code, _, err = _invoke(capsys, "construct", "threerow", "--p", 11)
     assert code == 1
@@ -637,6 +655,23 @@ def test_transversal_cap_checked_before_square_is_built(capsys, monkeypatch):
     code, out, err = _invoke(capsys, "transversals", "--p", 100001)
     assert (code, out) == (2, "")
     assert "order 100001 above the exhaustive cap 13; pass --force to override" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("transversals", "--p", 100001, "--force"),
+    ("transversals", "--p", 100003, "--histogram", "--force"),
+    ("orthomorphisms", "--p", 100001, "--force"),
+    ("orthomorphisms", "--p", 100003, "--min-distance-from", 2, "--force"),
+], ids=["count", "histogram", "orthomorphisms", "min-distance"])
+def test_force_lifts_only_the_exhaustive_cap(capsys, monkeypatch, argv):
+    # with --force, transversals --p 100001 reached gen_bp's 80 GB array;
+    # the other searches build p x p tables of their own
+    for name in ("gen_bp", "count_transversals", "diagonal_histogram",
+                 "enumerate_orthomorphisms", "min_distance_from_linear"):
+        monkeypatch.setattr(f"bptrades.cli.{name}", _never_called)
+    code, out, err = _invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"p={argv[2]} above 2000, the largest order --force admits" in err
 
 
 def test_transversal_histogram_force_bypasses_cap(capsys, monkeypatch):

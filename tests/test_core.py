@@ -8,7 +8,6 @@ import pytest
 
 from bptrades.core import (
     LatinSquare,
-    Modulus,
     Orthomorphism,
     Transversal,
     are_orthogonal,
@@ -20,11 +19,28 @@ from bptrades.core import (
     orthomorphism_distance,
     primes_up_to,
     transversal_from_orthomorphism,
+    _modulus,
 )
-from bptrades.dissect import log_trade
+from bptrades.dissect import log_trade, small_rowperm_pipeline, symbol_twice_search
 from bptrades.family16 import construct, find_k
-from bptrades.rowperm import three_row_trade
-from bptrades.search import diagonal_histogram, min_distance_from_linear, rowperm_sizes
+from bptrades.matrices import size_bounds, symbol_system
+from bptrades.rowperm import (
+    RowPermutation,
+    rowperm_orthogonal,
+    sqrt_mod,
+    three_row_trade,
+    trade_from_matrix,
+    trade_from_rowperm,
+)
+from bptrades.search import (
+    admissible_mates,
+    diagonal_histogram,
+    enumerate_orthomorphisms,
+    min_distance_from_linear,
+    rowperm_sizes,
+    spectrum,
+    spectrum_all,
+)
 from bptrades.trades import TradePair, apply_trade
 
 from test_trades import FIG1, FIG1_ENTRIES
@@ -69,22 +85,21 @@ def test_primes_up_to_edges():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
-# -- Modulus ---------------------------------------------------------------
+# -- the modulus rule --------------------------------------------------------
 
 
 def test_modulus_prime_constructor_rejects_composite():
-    with pytest.raises(ValueError):
-        Modulus.of_prime(9)
-    with pytest.raises(ValueError):
-        Modulus.of_prime(2)
-    assert Modulus.of_prime(13).prime
+    with pytest.raises(ValueError, match="^p=9 must be prime$"):
+        _modulus(9, prime=True)
+    with pytest.raises(ValueError, match="^p=2 must be odd and at least 3$"):
+        _modulus(2, prime=True)
+    assert _modulus(13, prime=True) == 13
 
 
 def test_modulus_odd_constructor_admits_composite():
-    m = Modulus.of_odd(9)
-    assert not m.prime
-    with pytest.raises(ValueError):
-        Modulus.of_odd(8)
+    assert _modulus(9) == 9
+    with pytest.raises(ValueError, match="^p=8 must be odd and at least 3$"):
+        _modulus(8)
 
 
 # -- the integer rule ------------------------------------------------------
@@ -97,7 +112,7 @@ FIG1_FALSE_ROW = ((False, 0, 0, 3),) + FIG1_ENTRIES[1:]
     (lambda: gen_bp(7.9, 2), "p=7.9 is not an integer"),
     (lambda: gen_bp(7, True), "k=True is not an integer"),
     (lambda: construct(7.9), "p=7.9 is not an integer"),
-    (lambda: Modulus.of_prime(7.0), "p=7.0 is not an integer"),
+    (lambda: _modulus(7.0, prime=True), "p=7.0 is not an integer"),
     (lambda: TradePair(7, True, 3, FIG1_ENTRIES), "ell=True is not an integer"),
     (lambda: TradePair(7, 1, np.bool_(True), FIG1_ENTRIES), "k=np.True_ is not"),
     (lambda: TradePair("7", 1, 3, FIG1_ENTRIES), "p='7' is not an integer"),
@@ -105,17 +120,76 @@ FIG1_FALSE_ROW = ((False, 0, 0, 3),) + FIG1_ENTRIES[1:]
      r"entry \[false, 0, 0, 3\] holds a boolean"),
     (lambda: TradePair(7, 1, 3, [[np.True_, np.int64(0), 0, 3]]),
      r"entry \[true, 0, 0, 3\] holds a boolean"),
+    # image tables and transversal cells; orthomorphism_check called the
+    # first valid
+    (lambda: Orthomorphism(3, (False, 2, True)), "image=False is not an integer"),
+    (lambda: Transversal(3, ((0, 0.0), (1, 2.0), (2, 1.0))), "column=0.0 is not an integer"),
+    (lambda: RowPermutation(5, (1.0, 2, 0, 3, 4)), "image=1.0 is not an integer"),
+    # returned 1, the root of True % 7
+    (lambda: sqrt_mod(True, 7), "a=True is not an integer"),
 ])
 def test_integer_rule_refuses_non_integers(call, message):
     with pytest.raises(ValueError, match=message):
         call()
 
 
+# the row permutation of fig2.json, which preserves mate 3 of B_7
+SIGMA7 = RowPermutation.from_cycle(7, (0, 4, 5))
+S0 = symbol_system(FIG1, 0)
+
+# every public entry point that takes p, ell or k, called with v in its place
+P_ELL_K_CALLS = {
+    "gen_bp-p": lambda v: gen_bp(v, 1),
+    "gen_bp-k": lambda v: gen_bp(7, v),
+    "mols_family": mols_family,
+    "Orthomorphism-p": lambda v: Orthomorphism(v, (0, 2, 4, 1, 3)),
+    "Orthomorphism.linear-p": lambda v: Orthomorphism.linear(v, 2),
+    "Orthomorphism.linear-k": lambda v: Orthomorphism.linear(7, v),
+    "Transversal-order": lambda v: Transversal(v, ((0, 0), (1, 1), (2, 2))),
+    "TradePair-p": lambda v: TradePair(v, 1, 3, FIG1_ENTRIES),
+    "TradePair-ell": lambda v: TradePair(7, v, 3, FIG1_ENTRIES),
+    "TradePair-k": lambda v: TradePair(7, 1, v, FIG1_ENTRIES),
+    "size_bounds-p": lambda v: size_bounds(v, 3),
+    "size_bounds-k": lambda v: size_bounds(7, v),
+    "RowPermutation-p": lambda v: RowPermutation(v, SIGMA7.images),
+    "RowPermutation.from_cycle": lambda v: RowPermutation.from_cycle(v, (0, 4, 5)),
+    "RowPermutation.from_map": lambda v: RowPermutation.from_map(v, {0: 4, 4: 5, 5: 0}),
+    "rowperm_orthogonal": lambda v: rowperm_orthogonal(SIGMA7, {v}),
+    "trade_from_rowperm": lambda v: trade_from_rowperm(SIGMA7, v),
+    "trade_from_matrix-k": lambda v: trade_from_matrix(S0.matrix, S0.u, v, 7),
+    "trade_from_matrix-p": lambda v: trade_from_matrix(S0.matrix, S0.u, 3, v),
+    "sqrt_mod": lambda v: sqrt_mod(2, v),
+    "find_k": find_k,
+    "three_row_trade": three_row_trade,
+    "construct": construct,
+    "log_trade": log_trade,
+    "small_rowperm_pipeline": small_rowperm_pipeline,
+    "symbol_twice_search": lambda v: symbol_twice_search(v, 4),
+    "diagonal_histogram": diagonal_histogram,
+    "admissible_mates": admissible_mates,
+    "spectrum-p": lambda v: spectrum(v, 3),
+    "spectrum-k": lambda v: spectrum(7, v),
+    "spectrum_all": spectrum_all,
+    "rowperm_sizes": lambda v: rowperm_sizes(v, 1),
+    "enumerate_orthomorphisms": lambda v: next(enumerate_orthomorphisms(v)),
+    "min_distance_from_linear-p": lambda v: min_distance_from_linear(v, 3),
+    "min_distance_from_linear-k": lambda v: min_distance_from_linear(7, v),
+}
+
+
+@pytest.mark.parametrize("value", [7.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("name", sorted(P_ELL_K_CALLS))
+def test_every_p_ell_k_entry_point_refuses_non_integers(name, value):
+    # 7.0 reached range() or gcd as a TypeError, or passed as 7; True passed as 1
+    with pytest.raises(ValueError, match=f"={value!r} is not an integer"):
+        P_ELL_K_CALLS[name](value)
+
+
 def test_integer_rule_accepts_numpy_integers():
     sq = gen_bp(np.int64(7), np.int32(3))
     assert sq == gen_bp(7, 3)
     assert sq.label == (7, 3) and all(type(v) is int for v in sq.label)
-    assert Modulus.of_prime(np.int16(13)) == Modulus(13, True)
+    assert type(_modulus(np.int16(13), prime=True)) is int
     assert construct(np.int64(13)).trade == construct(13).trade
     rows = tuple(tuple(np.int64(v) for v in e) for e in FIG1_ENTRIES)
     t = TradePair(np.int64(7), np.uint8(1), np.int32(3), rows)
@@ -265,9 +339,12 @@ def test_mols_family_requires_prime():
         three_row_trade,
         find_k,
         log_trade,
+        lambda p: size_bounds(p, 2),
+        lambda p: sqrt_mod(2, p),
+        construct,
     ],
     ids=["mols_family", "diagonal_histogram", "rowperm_sizes", "min_distance_from_linear",
-         "three_row_trade", "find_k", "log_trade"],
+         "three_row_trade", "find_k", "log_trade", "size_bounds", "sqrt_mod", "construct"],
 )
 def test_prime_only_operations_share_one_check(call):
     with pytest.raises(ValueError, match=r"^p=9 must be prime$"):

@@ -45,7 +45,7 @@ def test_trade_matrix_sign_pattern_enforced():
 
 
 def test_minor_matrix_drops_row_and_column():
-    A = TradeMatrix(3, S0_MATRIX, "symbol_system")
+    A = TradeMatrix(3, S0_MATRIX)
     assert A.minor_matrix(0).entries == ((3, -1), (-2, 3))
     assert A.minor_matrix(1).entries == ((3, -2), (-1, 3))
 

@@ -28,6 +28,22 @@ def test_no_assertion_error_raised_in_library(path):
     assert lines == [], f"{path.name} raises AssertionError at lines {lines}"
 
 
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "core.py"}),
+                         ids=lambda p: p.name)
+def test_modulus_rule_lives_in_core(path):
+    # core._modulus alone tests primality; a module that calls is_prime
+    # decides the modulus rule a second time
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "is_prime"
+        or isinstance(node, ast.Attribute) and node.attr == "is_prime"
+        or isinstance(node, ast.alias) and node.name == "is_prime"
+    ]
+    assert lines == [], f"{path.name} references is_prime at lines {lines}"
+
+
 def test_cli_verbs_leave_value_errors_to_run():
     # run() maps a ValueError to the verb's exit code, in one place
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
