@@ -23,13 +23,15 @@ tau with r + c = s).  The trade size is p^2 minus the total agreement.
 
 The cover tables come from the transversals through (0, 0) alone, which
 the kernel enumerates p times faster than all of them.  Shifting every
-column by u maps a transversal of B_p(k) to another, so the transversals
-whose row-0 column is u are exactly those through (0, 0) shifted by u.
-Sorting each shift group and appending the groups in turn gives the
-masks in the lexicographic order of the full enumeration, and each cell
-lists its transversals in that order, once its anti-diagonal has been
-moved to the front.  The orbit roots are read off the group through
-(0, 0), and only that group's column tuples are kept.
+column by u maps a transversal of B_p(k) to another, so shift group u,
+the transversals whose row-0 column is u, is the group through (0, 0)
+shifted by u.  Every transversal covers exactly one row-0 cell, so the
+lowest uncovered cell of a partial cover lies in row 0, and the search
+reads only these p groups.  They are stored one after another, each
+opening with its anti-diagonal and the rest in lexicographic order, the
+order the full enumeration gives them; each comes from the previous one
+by rotating every row one column and sorting again.  The orbit roots
+are read off group 0, and only that group's column tuples are kept.
 
 The moved-row walk of the row-permutation search cuts the space by the
 affine conjugation symmetry, which preserves support sizes and per-k
@@ -399,43 +401,46 @@ def _cover_tables(p: int, k: int, deadline: "float | None" = None):
     """The exact-cover tables of B_p(k), built from the transversals
     through (0, 0) alone.
 
-    Returns ``masks``, the cell bitmask of every transversal in
-    lexicographic order of its column tuple; ``by_cell``, for each cell
-    the indices of the transversals through it, its anti-diagonal first
-    and then in index order; and ``roots``, the orbit roots of
-    ``_root_representatives`` with the anti-diagonal first.
-
-    Column tuples starting with u are the tuples through (0, 0) shifted
-    by u, so each shift group is sorted on its own and appended in turn.
-    Raises BudgetExpired once ``deadline`` has passed.
+    Returns ``masks``, the cell bitmasks of shift groups 0..p-1 in turn,
+    each group its anti-diagonal and then the rest in lexicographic order
+    of their column tuples; ``groups``, the index range of each; and
+    ``roots``, the orbit roots of ``_root_representatives`` in index
+    order, the anti-diagonal through (0, 0) first.  Above each mask sit
+    its rows in reverse order, so that the pair compares like the column
+    tuple, and rotating every row one column, which makes each group the
+    next, acts on both halves.  Raises BudgetExpired once ``deadline``
+    has passed.
     """
     pinned = [
         tuple(cols)
         for cols in _backtrack(p, [(k * r % p,) for r in range(p)], (0,), deadline=deadline)
     ]
     roots = _root_representatives(p, k, pinned, deadline)
-    bits = [[1 << (r * p + c) for c in range(p)] for r in range(p)]
-    cells = [range(r * p, r * p + p) for r in range(p)]
+    area = p * p
+    # cell (r, c) sets bit r*p + c of the mask and bit (p-1-r)*p + c of
+    # the reversed rows above it
+    bits = [
+        [1 << area + (p - 1 - r) * p + c | 1 << r * p + c for c in range(p)] for r in range(p)
+    ]
+    keys = [sum(map(getitem, bits, cols)) for cols in pinned]
+    anti = bisect_left(pinned, tuple(-r % p for r in range(p)))
+    keys.insert(0, keys.pop(anti))
+    full = (1 << area) - 1
+    # column p-1 of both halves wraps to column 0; the others step right
+    wrap = sum(1 << r * p + p - 1 for r in range(2 * p))
+    step = (1 << 2 * area) - 1 ^ wrap
     masks: list[int] = []
-    by_cell: list[list[int]] = [[] for _ in range(p * p)]
     for u in range(p):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExpired
-        shift = [*range(u, p), *range(u)]
-        group = sorted(itemgetter(*cols)(shift) for cols in pinned)
-        base = len(masks)
-        for i, cols in enumerate(group, base):
-            masks.append(sum(map(getitem, bits, cols)))
-            for cell in map(getitem, cells, cols):
-                by_cell[cell].append(i)
-        # the anti-diagonal through (0, u) goes to the front of its cells
-        anti = tuple(shift[-r] for r in range(p))
-        i = base + bisect_left(group, anti)
-        for cell in map(getitem, cells, anti):
-            by_cell[cell].remove(i)
-            by_cell[cell].insert(0, i)
-    front = by_cell[0][0]  # the anti-diagonal through (0, 0)
-    return masks, by_cell, sorted(roots, key=lambda j: (j != front, j))
+        if u:
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExpired
+            keys = [(x & step) << 1 | (x & wrap) >> p - 1 for x in keys]
+            keys[1:] = sorted(keys[1:])
+        masks += [x & full for x in keys]
+    n = len(pinned)
+    groups = [range(u * n, u * n + n) for u in range(p)]
+    # group 0 is the pinned order with the anti-diagonal moved to the front
+    return masks, groups, sorted(0 if j == anti else j + (j < anti) for j in roots)
 
 
 def _anti_diagonals(p: int) -> list[int]:
@@ -532,7 +537,7 @@ def _cover_search(
     p: int,
     k: int,
     masks: list[int],
-    by_cell: list[list[int]],
+    options: "list[range] | list[list[int]]",
     roots: list[int],
     deadline: "float | None",
     targets: "frozenset | None",
@@ -540,6 +545,11 @@ def _cover_search(
     """Exact covers of the grid from each root in turn, each labeled by
     the DP.  Returns the sizes found, a certificate per size and whether
     every reachable size was witnessed.
+
+    A partial cover branches on its lowest uncovered cell, trying the
+    transversals of ``options[cell]`` in turn.  Every transversal covers
+    exactly one row-0 cell, so until a cover is complete that cell is in
+    row 0: the tables of ``_cover_tables`` list only cells 0..p-1.
 
     Branch and bound: a labeled transversal agrees with its label in at
     most max(vector) cells, its peak.  Only an anti-diagonal has peak p;
@@ -567,7 +577,6 @@ def _cover_search(
     hits = [0] * len(masks)
     g = _off_anti_peak(p, masks, roots)
     dp_memo: dict[tuple, int] = {}
-    counter = 0
     # bit a of ``found`` is set once size p^2 - a has a certificate;
     # ``reach`` is its lowest clear bit, so agreements below it are done
     found = 0
@@ -610,20 +619,18 @@ def _cover_search(
     def done() -> bool:
         return targets is not None and targets <= sizes
 
-    def rec(used: int, free: int, top: int, options: list[int]) -> bool:
+    def rec(used: int, free: int, top: int, choices) -> bool:
         # extend the partial cover ``chosen`` (cells ``used``, anti-diagonals
-        # ``free`` unmet) by each free transversal of ``options`` in turn
-        nonlocal counter
-        counter += 1
-        if counter % 2048 == 0 and deadline is not None:
-            if time.monotonic() > deadline:
-                raise BudgetExpired
+        # ``free`` unmet) by each free transversal of ``choices`` in turn;
+        # one node may scan 79,259 of them (p = 13), so each reads the clock
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExpired
         # a child with top t reaches new sizes only if t + rest >= reach,
         # rest = f*p + (left - f)*g; the cheaper p*left bounds it first
         left = p - len(chosen) - 1
         loose = p * left
         floor = g * left
-        for i in options:
+        for i in choices:
             m = masks[i]
             if m & used:
                 continue
@@ -646,7 +653,7 @@ def _cover_search(
                 stop = done()
             else:
                 # branch on the lowest uncovered cell
-                stop = rec(child, unmet, t, by_cell[(~child & (child + 1)).bit_length() - 1])
+                stop = rec(child, unmet, t, options[(~child & (child + 1)).bit_length() - 1])
             chosen.pop()
             if stop:
                 return True
@@ -695,12 +702,12 @@ def spectrum(
     start = time.monotonic()
     deadline = _deadline(budget)
     try:
-        masks, by_cell, roots = _cover_tables(p, k, deadline)
+        masks, groups, roots = _cover_tables(p, k, deadline)
     except BudgetExpired:
         sizes, certificates, exhaustive = _symbol_swaps(p, k)
     else:
         sizes, certificates, exhaustive = _cover_search(
-            p, k, masks, by_cell, roots, deadline, targets
+            p, k, masks, groups, roots, deadline, targets
         )
     return SpectrumResult(
         p=p,

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import time
 from collections import Counter
 
@@ -64,6 +65,7 @@ OFF_ANTI_PEAKS = {
     9: {2: 6, 5: 6, 8: 6},
 }
 SPECTRUM_9_8_SHA256 = "25aa71fba0604b9c051dde41661dcda12658f56d018c724baec28cd82ff93523"
+SPECTRUM_ALL_11_SHA256 = "a750873f3c3b25759ed6407942f0ad4a8f11200cfd2ce20fd37ddee613721767"
 
 MIN_DIST = {
     5: {2: 4, 3: 4, 4: 4},
@@ -276,7 +278,7 @@ def _ref_agreement_vector(p, mask):
     return tuple(a)
 
 
-def _ref_cover_search(p, k, masks, by_cell, roots, deadline, targets):
+def _ref_cover_search(p, k, masks, options, roots, deadline, targets):
     # the cover search before branch and bound: every exact cover from
     # every root is visited and labeled
     full = (1 << (p * p)) - 1
@@ -329,7 +331,7 @@ def _ref_cover_search(p, k, masks, by_cell, roots, deadline, targets):
             handle_cover()
             return done()
         pivot = ((~used) & (used + 1)).bit_length() - 1
-        for i in by_cell[pivot]:
+        for i in options[pivot]:
             m = masks[i]
             if m & used:
                 continue
@@ -439,8 +441,87 @@ def test_root_representatives_match_reference(p):
 
 @pytest.mark.parametrize("p", [5, 7, 9])
 def test_cover_tables_match_full_enumeration(p):
+    # the cover search reads only the lists of the row-0 cells, so those
+    # are compared as masks, in order, and so are the roots
     for k in admissible_mates(p):
-        assert _cover_tables(p, k) == _ref_cover_tables(p, k), k
+        masks, groups, roots = _cover_tables(p, k)
+        ref_masks, by_cell, ref_roots = _ref_cover_tables(p, k)
+        assert [i for group in groups for i in group] == list(range(len(ref_masks))), k
+        assert [[masks[i] for i in group] for group in groups] == [
+            [ref_masks[i] for i in by_cell[cell]] for cell in range(p)], k
+        assert [masks[i] for i in roots] == [ref_masks[i] for i in ref_roots], k
+
+
+class _Spy:
+    # an option table that records each cell the cover search reads
+    def __init__(self, options, reads):
+        self.options = options
+        self.reads = reads
+
+    def __getitem__(self, cell):
+        self.reads.append(cell)
+        return self.options[cell]
+
+
+@pytest.mark.parametrize("p", [5, 7, 9, 11])
+def test_cover_search_branches_only_in_row_zero(monkeypatch, p):
+    # every transversal covers one row-0 cell, so the lowest uncovered
+    # cell of a partial cover is in row 0, and the tables keep only the
+    # lists of cells 0..p-1
+    reads = []
+
+    def tables(p, k, deadline=None):
+        masks, groups, roots = _cover_tables(p, k, deadline)
+        return masks, _Spy(groups, reads), roots
+
+    monkeypatch.setattr("bptrades.search._cover_tables", tables)
+    if p == 11:
+        spectrum_all(11, targets=S11_TARGETS)
+    else:
+        for k in admissible_mates(p):
+            spectrum(p, k)
+    assert reads and max(reads) < p
+
+
+def test_spent_deadline_stops_the_cover_search_at_its_first_node():
+    # one node may scan a whole row-0 group (3,441 transversals at
+    # p = 11), so the clock is read at every node
+    masks, groups, roots = _cover_tables(11, 2)
+    reads = []
+    got = _cover_search(11, 2, masks, _Spy(groups, reads), roots, time.monotonic() - 1, None)
+    assert got == (set(), {}, False)
+    assert reads == []
+
+
+@pytest.mark.slow
+def test_cover_tables_shape_at_thirteen():
+    # 13 shift groups of the 79,259 transversals of B_13(2) through
+    # (0, 0), each opening with its anti-diagonal and the rest in
+    # lexicographic order of their column tuples
+    p, n = 13, 79259
+    masks, groups, roots = _cover_tables(p, 2)
+    assert len(masks) == CYCLIC_COUNTS[p] == p * n
+    assert groups == [range(u * n, u * n + n) for u in range(p)]
+    assert len(roots) == 573
+    assert roots == sorted(set(roots)) and roots[0] == 0 and roots[-1] < n
+    row = (1 << p) - 1
+    for u, (group, anti) in enumerate(zip(groups, _anti_diagonals(p))):
+        assert masks[group[0]] == anti
+        cols = [tuple((masks[i] >> r * p & row).bit_length() - 1 for r in range(p))
+                for i in group[1:]]
+        assert all(c[0] == u for c in cols)
+        assert all(a < b for a, b in zip(cols, cols[1:]))
+        assert tuple((u - r) % p for r in range(p)) not in cols
+
+
+@pytest.mark.slow
+def test_budgeted_spectrum_at_thirteen_returns_on_time():
+    # the tables of B_13(2) take a few seconds, and a cover search node
+    # scans 79,259 transversals; the budget still holds to half a second
+    start = time.monotonic()
+    res = spectrum(13, 2, budget=5)
+    assert time.monotonic() - start < 5.5
+    assert not res.exhaustive
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -599,6 +680,22 @@ def test_spectrum_order_nine_certificates_pinned():
     for cert in res.certificates.values():
         digest.update(cert.to_json().encode() + b"\n")
     assert digest.hexdigest() == SPECTRUM_9_8_SHA256
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_targeted_spectrum_all_eleven_pinned(seed):
+    # sha256 of the certificates of spectrum_all(11) for S11 less 8
+    # seeded sizes, as the benchmark draws its target sets, found by the
+    # search over per-cell tables.  The first covers of k = 2 certify
+    # all 89 sizes, so the three target sets share one digest
+    targets = S11_TARGETS - frozenset(random.Random(seed).sample(sorted(S11_TARGETS), 8))
+    res = spectrum_all(11, targets=targets)
+    assert res.sizes == S11_TARGETS
+    assert not res.exhaustive
+    digest = hashlib.sha256()
+    for cert in res.certificates.values():
+        digest.update(cert.to_json().encode() + b"\n")
+    assert digest.hexdigest() == SPECTRUM_ALL_11_SHA256
 
 
 @pytest.mark.parametrize("mates", range(1, 6))
