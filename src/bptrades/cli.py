@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from bptrades.core import gen_bp
+from bptrades.core import _modulus, gen_bp
 from bptrades.dissect import (
     SquareDissection,
     _trade_of_good,
@@ -33,6 +33,7 @@ from bptrades.matrices import size_bounds
 from bptrades.rowperm import RowPermutation, three_row_trade, trade_from_rowperm
 from bptrades.search import (
     _check_cap,
+    _check_spectrum_p,
     count_transversals,
     diagonal_histogram,
     enumerate_orthomorphisms,
@@ -219,6 +220,8 @@ def _spectrum_payload(res) -> dict:
 
 def _cmd_search(args) -> int:
     if args.what == "spectrum":
+        # both refusals of p come before --targets, whose ranges span p*p
+        _check_spectrum_p(_modulus(args.p), args.budget)
         targets = None if args.targets is None else _parse_targets(args.targets, args.p)
         if args.k is None:
             res = spectrum_all(args.p, budget=args.budget, targets=targets)

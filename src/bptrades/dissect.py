@@ -8,10 +8,10 @@ that trade occurs exactly twice.  The good dissections are built in
 closed form: doubling the dissection for a quartered frame and wrapping
 it in at most five squares keeps the square count at O(log n), so for
 prime p = 2n + 3 this yields a trade of size O(log p) whose balance
-matrix feeds trade_from_matrix with k = 2.  The recursion works on
-plain square lists; only the finished dissection is validated as a
-partition and checked for goodness, once, in time linear in its squares
-apart from the vectorized pairwise overlap test.
+matrix feeds trade_from_matrix with k = 2.  The levels are built in a
+loop on plain square lists; only the finished dissection is validated
+as a partition and checked for goodness, once, in time linear in its
+squares apart from the vectorized pairwise overlap test.
 
 Frame: x rightward in [0, w], y upward in [0, h].  The goodness
 conditions treat (0, h) as the distinguished corner, and the two
@@ -30,7 +30,8 @@ import numpy as np
 
 from bptrades.core import _integer, _modulus
 from bptrades.matrices import balance_matrix
-from bptrades.rowperm import RowPermutation, trade_from_matrix
+from bptrades.rowperm import RowPermutation, _rowperm_from_matrix, trade_from_matrix
+from bptrades.rowperm import trade_from_rowperm
 from bptrades.trades import TradePair, validate_latin_trade
 
 __all__ = [
@@ -252,15 +253,20 @@ def _base_squares(n: int) -> list[Square]:
 
 
 def _good_squares(n: int) -> list[Square]:
-    if n <= 14:
-        return _base_squares(n)
-    z = 3 + (n - 3) % 4
-    k = (n - z) // 4
-    a = 2 * k
-    squares = [(2 * x, 2 * y + a + z, 2 * s) for x, y, s in _good_squares(k)]
-    squares += [(0, 0, a + z), (a + z, 0, a + 3), (a + 6, a + 3, a + z - 3)]
-    squares += [(x, y, 1) for x in range(a + z, a + 6) for y in range(a + 3, a + z)]
-    return squares
+    # level n = 4k + z holds its own squares and those of level k, doubled
+    # and moved down by a + z (a = 2k); the moves compose to one scale and
+    # shift per level, and the list runs from the base level up
+    levels, scale, shift = [], 1, 0
+    while n > 14:
+        z = 3 + (n - 3) % 4
+        a = (n - z) // 2
+        own = [(0, 0, a + z), (a + z, 0, a + 3), (a + 6, a + 3, a + z - 3)]
+        own += [(x, y, 1) for x in range(a + z, a + 6) for y in range(a + 3, a + z)]
+        levels.append((scale, shift, own))
+        scale, shift, n = 2 * scale, shift + scale * (a + z), a // 2
+    levels.append((scale, shift, _base_squares(n)))
+    return [(scale * x, scale * y + shift, scale * s)
+            for scale, shift, own in reversed(levels) for x, y, s in own]
 
 
 def base_dissection(n: int) -> SquareDissection:
@@ -392,22 +398,17 @@ def log_trade(p: int) -> TradePair:
 def small_rowperm_pipeline(p: int) -> tuple[RowPermutation, TradePair]:
     """Orthogonal trade of index (1, 2) permuting O(log p) rows of B_p.
 
-    Chains log_trade -> balance_matrix -> trade_from_matrix with k = 2.
-    The symbol-twice property pins every diagonal entry of the balance
-    matrix at 2 and rules out -2 off the diagonal, which is exactly what
-    the k = 2 recovery needs.  The moved rows are the symbols of the
-    small trade, so their count is half its size.
+    Chains log_trade -> balance_matrix -> the row permutation that
+    trade_from_matrix recovers with k = 2 -> trade_from_rowperm.  The
+    symbol-twice property pins every diagonal entry of the balance matrix
+    at 2 and rules out -2 off the diagonal, which is exactly what the
+    k = 2 recovery needs.  The moved rows are the symbols of the small
+    trade, so their count is half its size.
     """
     t = log_trade(p)
     D, u = balance_matrix(t)
-    trade = trade_from_matrix(D, u, 2, t.p)
-    # row-major entries: each moved row's column-0 cell sits every p positions
-    firsts = trade.array[:: t.p]
-    if firsts[:, 1].any():
-        raise ValueError("row-permutation trade does not move whole rows")
-    moved = dict(zip(firsts[:, 0].tolist(), firsts[:, 3].tolist()))
-    sigma = RowPermutation.from_map(t.p, moved)
-    return sigma, trade
+    sigma = _rowperm_from_matrix(D, u, 2, t.p)
+    return sigma, trade_from_rowperm(sigma, 2)
 
 
 # -- exhaustive search for the sub-dissection primes ------------------------------

@@ -59,10 +59,7 @@ class RowPermutation:
 
     @classmethod
     def from_cycle(cls, p: int, cycle: "tuple[int, ...]") -> "RowPermutation":
-        images = list(range(_integer(p, "p")))
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            images[a] = b
-        return cls(p, tuple(images))
+        return cls.from_map(p, dict(zip(cycle, cycle[1:] + cycle[:1])))
 
     @classmethod
     def from_map(cls, p: int, moved: dict[int, int]) -> "RowPermutation":
@@ -124,6 +121,11 @@ def trade_from_matrix(A: TradeMatrix, u: tuple[int, ...], k: int, p: int) -> Tra
     column edge of the least row of each cycle as phi.  A -2 entry
     would force phi = phi_prime on a row, which no trade allows.
     """
+    return trade_from_rowperm(_rowperm_from_matrix(A, u, k, p), k)
+
+
+def _rowperm_from_matrix(A: TradeMatrix, u: tuple[int, ...], k: int, p: int) -> RowPermutation:
+    # the phi of trade_from_matrix, extended by the identity
     p = _modulus(p)
     k = _mate(k, p)
     m = A.m
@@ -180,7 +182,7 @@ def trade_from_matrix(A: TradeMatrix, u: tuple[int, ...], k: int, p: int) -> Tra
         raise ValueError("phi read from the matrix is not a permutation")
     if any(v % p for v in A.apply(u)):
         raise ValueError(f"A*u != 0 mod {p}")
-    return trade_from_rowperm(RowPermutation.from_map(p, phi_map), k)
+    return RowPermutation.from_map(p, phi_map)
 
 
 def sqrt_mod(a: int, p: int) -> "int | None":

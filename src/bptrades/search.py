@@ -31,7 +31,8 @@ reads only these p groups.  They are stored one after another, each
 opening with its anti-diagonal and the rest in lexicographic order, the
 order the full enumeration gives them; each comes from the previous one
 by rotating every row one column and sorting again.  The orbit roots
-are read off group 0, and only that group's column tuples are kept.
+are read off group 0, each orbit in one step from its first member, and
+only that group's column tuples are kept.
 
 The moved-row walk of the row-permutation search cuts the space by the
 affine conjugation symmetry, which preserves support sizes and per-k
@@ -351,49 +352,40 @@ def _root_representatives(
 
     ``pinned`` lists the column tuples of the transversals of B_p(k)
     through (0, 0) in lexicographic order, which puts them first among
-    all transversals; every orbit meets them.  The orbit search runs on
-    them alone, closing under unit scalings, the transpose, and the
-    translate that moves the row-1 cell to (0, 0) (repeated, it steps
-    through all p translates through (0, 0)).  Each orbit is represented
-    by its member of least bitmask, that is, least column tuple read from
-    the last row up.
+    all transversals; every orbit meets them.  A map (r, c) -> (a*r + s,
+    a*c + t) is a scaling after a translation, and the scaling fixes
+    (0, 0); the transpose commutes with the scalings and swaps the two
+    shifts of a translation.  So the orbit of T meets the pinned list in
+    the distinct translates of T, and of its transpose, that move a cell
+    to (0, 0), each scaled by every unit, and is read off its first
+    member in one step.  It is represented by its member of least
+    bitmask, that is, least column tuple read from the last row up.
 
     Achievable size sets are invariant under these maps, so every
     partition orbit is reached from some representative through (0, 0);
     restricting the first branch this way only drops repeats.  Raises
     BudgetExpired once ``deadline`` has passed.
     """
-    index = {cols: i for i, cols in enumerate(pinned)}
     # the scaling by a puts column a*cols[r/a] in row r; the translate
-    # that moves the row-1 cell to (0, 0) puts cols[r+1] - cols[1]
-    scalings = []
-    for a in range(2, p):
-        if gcd(a, p) == 1:
-            inv = pow(a, -1, p)
-            scalings.append(
-                (itemgetter(*(inv * r % p for r in range(p))), [a * c % p for c in range(p)])
-            )
+    # that moves the row-r cell to (0, 0) puts cols[x+r] - cols[r] in row x
+    units = [(a, pow(a, -1, p)) for a in range(1, p) if gcd(a, p) == 1]
+    scalings = [(itemgetter(*(inv * r % p for r in range(p))), [a * c % p for c in range(p)])
+                for a, inv in units]
     repin = [[(c - c1) % p for c in range(p)] for c1 in range(p)]
-    transpose = pow(k, 2, p) == 1
-    seen: set = set()
+    unmet = {cols: i for i, cols in enumerate(pinned)}  # orbits not yet met
     reps = []
-    for n, start in enumerate(index):
+    for n, start in enumerate(pinned):
         if deadline is not None and not n & 255 and time.monotonic() > deadline:
             raise BudgetExpired
-        if start in seen:
+        if start not in unmet:
             continue
-        seen.add(start)
-        orbit = [start]
-        for cols in orbit:
-            images = [itemgetter(*cols[1:], cols[0])(repin[cols[1]])]
-            images += [itemgetter(*rows(cols))(times) for rows, times in scalings]
-            if transpose:
-                images.append(tuple(sorted(range(p), key=cols.__getitem__)))
-            for im in images:
-                if im not in seen:
-                    seen.add(im)
-                    orbit.append(im)
-        reps.append(index[min(orbit, key=lambda cols: cols[::-1])])
+        turned = tuple(sorted(range(p), key=start.__getitem__)) if k * k % p == 1 else start
+        translates = {itemgetter(*cols[r:], *cols[:r])(repin[c])
+                      for cols in {start, turned} for r, c in enumerate(cols)}
+        orbit = {itemgetter(*rows(cols))(times) for cols in translates for rows, times in scalings}
+        reps.append(unmet[min(orbit, key=lambda cols: cols[::-1])])
+        if any(unmet.pop(cols, None) is None for cols in orbit):
+            raise RuntimeError(f"an orbit image of {start} is not a pinned transversal")
     return reps
 
 

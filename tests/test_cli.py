@@ -588,6 +588,20 @@ def test_spectrum_targets_bounded_before_expansion(capsys, monkeypatch, targets)
     assert f"--targets element {targets.split(',')[-1]!r} is outside 0..25" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--p", 4), "must be odd"),
+    (("--p", 15), "a budget is required above the cap"),
+    (("--p", 100001, "--budget", 1), "above the spectrum ceiling"),
+])
+def test_spectrum_refuses_p_before_reading_targets(capsys, monkeypatch, argv, message):
+    # --targets may span p*p sizes, so both refusals of p come first
+    monkeypatch.setattr("bptrades.cli._parse_targets", _never_called)
+    code, out, err = _invoke(capsys, "search", "spectrum", *argv,
+                             "--targets", "0..10000000000")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 # -- search rowperm ----------------------------------------------------------------
 
 

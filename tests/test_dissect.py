@@ -23,10 +23,10 @@ from bptrades.dissect import (
     small_rowperm_pipeline,
     symbol_twice_search,
 )
-from bptrades.rowperm import rowperm_orthogonal
+from bptrades.rowperm import RowPermutation, rowperm_orthogonal, trade_from_rowperm
 from bptrades.trades import validate_latin_trade, validate_orthogonal_trade
 
-from test_trades import B13, B13_ENTRIES, FIG1
+from test_trades import B13, B13_ENTRIES
 
 B13_SQUARES = ((0, 0, 5), (5, 0, 3), (5, 3, 2), (7, 3, 1), (7, 4, 1))
 
@@ -387,6 +387,17 @@ def test_good_dissection_invariants(n):
         assert all(s % 2 == 0 for _, _, s in placed)
 
 
+def test_good_squares_walk_a_thousand_levels():
+    # about a thousand levels, past the interpreter's recursion limit;
+    # the outermost, n = 4k + 4 with a = 2k, comes last
+    n = 4**1000
+    squares = dissect._good_squares(n)
+    a = n // 2 - 2
+    assert isinstance(squares, list)
+    assert squares[-5:] == [(0, 0, a + 4), (a + 4, 0, a + 3), (a + 6, a + 3, a + 1),
+                            (a + 4, a + 3, 1), (a + 5, a + 3, 1)]
+
+
 def test_good_dissection_rejects_small_n():
     with pytest.raises(ValueError):
         good_dissection(2)
@@ -561,13 +572,20 @@ def test_pipeline_validates_small_trade_once(monkeypatch, p):
     assert sum(t is small[0] for t in checked) == 1
 
 
-def test_pipeline_rejects_trade_of_partial_rows(monkeypatch):
-    # the moved rows are read off column 0 of every p-th entry; a trade
-    # that is not made of whole rows is an error, under -O as well
-    monkeypatch.setattr("bptrades.dissect.trade_from_matrix",
-                        lambda D, u, k, p: FIG1)
-    with pytest.raises(ValueError, match="whole rows"):
-        small_rowperm_pipeline(7)
+def test_pipeline_builds_its_row_permutation_once(monkeypatch):
+    # sigma comes straight from the balance matrix; the trade is built
+    # from it, and sigma is not read back out of the trade
+    calls = []
+    from_map = RowPermutation.from_map.__func__
+
+    def counting_from_map(cls, p, mapping):
+        calls.append(p)
+        return from_map(cls, p, mapping)
+
+    monkeypatch.setattr(RowPermutation, "from_map", classmethod(counting_from_map))
+    sigma, trade = small_rowperm_pipeline(13)
+    assert calls == [13]
+    assert trade == trade_from_rowperm(sigma, 2)
 
 
 def test_pipeline_101_row_bound():

@@ -5,6 +5,7 @@ import math
 import random
 import time
 from collections import Counter
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -231,6 +232,45 @@ def _ref_root_representatives(p, k, masks):
     return reps
 
 
+def _closure_root_representatives(p, k, pinned):
+    # the orbit roots by a closure walk over the pinned tuples alone:
+    # unit scalings, the transpose when k is self-inverse, and the
+    # translate moving the row-1 cell to (0, 0), which repeated steps
+    # through all p translates through (0, 0)
+    index = {cols: i for i, cols in enumerate(pinned)}
+    scalings = []
+    for a in range(2, p):
+        if math.gcd(a, p) == 1:
+            inv = pow(a, -1, p)
+            scalings.append((itemgetter(*(inv * r % p for r in range(p))),
+                             [a * c % p for c in range(p)]))
+    repin = [[(c - c1) % p for c in range(p)] for c1 in range(p)]
+    transpose = pow(k, 2, p) == 1
+    seen = set()
+    reps = []
+    for start in index:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for cols in orbit:
+            images = [itemgetter(*cols[1:], cols[0])(repin[cols[1]])]
+            images += [itemgetter(*rows(cols))(times) for rows, times in scalings]
+            if transpose:
+                images.append(tuple(sorted(range(p), key=cols.__getitem__)))
+            for im in images:
+                if im not in seen:
+                    seen.add(im)
+                    orbit.append(im)
+        reps.append(index[min(orbit, key=lambda cols: cols[::-1])])
+    return reps
+
+
+def _pinned(p, k):
+    # column tuples of the transversals of B_p(k) through (0, 0), in order
+    return [tuple(cols) for cols in _backtrack(p, [(k * r % p,) for r in range(p)], (0,))]
+
+
 def _ref_cover_tables(p, k):
     # the spectrum tables as built from every transversal: masks in
     # enumeration order, each cell's list and the roots sorted by rank,
@@ -437,6 +477,31 @@ def test_root_representatives_match_reference(p):
         got = _root_representatives(p, k, [cols for cols in columns if not cols[0]])
         assert len(got) == len(set(got))
         assert set(got) == _ref_root_representatives(p, k, masks)
+
+
+@pytest.mark.parametrize("p", [5, 7, 9, 11, pytest.param(13, marks=pytest.mark.slow)])
+def test_root_representatives_match_closure_walk(p):
+    # the same roots in the same order; at p = 13 one k per inverse pair
+    for k in admissible_mates(p):
+        if p < 13 or k <= pow(k, -1, p):
+            pinned = _pinned(p, k)
+            assert _root_representatives(p, k, pinned) == _closure_root_representatives(
+                p, k, pinned), k
+
+
+def test_spent_deadline_stops_the_root_pass():
+    with pytest.raises(BudgetExpired):
+        _root_representatives(7, 2, _pinned(7, 2), time.monotonic() - 1)
+
+
+def test_root_pass_refuses_an_orbit_image_outside_the_pinned_list():
+    # every orbit member through (0, 0) must be listed; one left out is
+    # met as an image and reported, under -O as well
+    pinned = _pinned(7, 2)
+    roots = set(_root_representatives(7, 2, pinned))
+    missing = next(i for i in range(len(pinned)) if i not in roots)
+    with pytest.raises(RuntimeError, match="not a pinned transversal"):
+        _root_representatives(7, 2, pinned[:missing] + pinned[missing + 1:])
 
 
 @pytest.mark.parametrize("p", [5, 7, 9])
