@@ -11,7 +11,7 @@ prime p = 2n + 3 this yields a trade of size O(log p) whose balance
 matrix feeds trade_from_matrix with k = 2.  The levels are built in a
 loop on plain square lists; only the finished dissection is validated
 as a partition and checked for goodness, once, in time linear in its
-squares apart from the vectorized pairwise overlap test.
+squares apart from one sort of their corners.
 
 Frame: x rightward in [0, w], y upward in [0, h].  The goodness
 conditions treat (0, h) as the distinguished corner, and the two
@@ -49,34 +49,6 @@ __all__ = [
 
 Square = tuple[int, int, int]
 
-# cells of one block of the pairwise overlap matrix; bounds its memory
-_OVERLAP_BLOCK = 1 << 20
-
-
-def _first_overlap(squares: tuple[Square, ...], side: int) -> "tuple[int, int] | None":
-    """First pair i < j, in itertools.combinations order, of squares whose
-    interiors meet, or None.  No coordinate exceeds ``side``."""
-    m = len(squares)
-    if m == 0:
-        return None
-    # beyond int64 the comparisons run on Python ints
-    a = np.array(squares, dtype=np.int64 if side < 2**62 else object)
-    x, y = a[:, 0], a[:, 1]
-    x1, y1 = x + a[:, 2], y + a[:, 2]
-    rows = max(1, _OVERLAP_BLOCK // m)
-    for i0 in range(0, m, rows):
-        i = slice(i0, i0 + rows)
-        hit = (
-            (x[i, None] < x1) & (x < x1[i, None])
-            & (y[i, None] < y1) & (y < y1[i, None])
-        )
-        # row r of the block is square i0 + r; keep only partners j > i0 + r
-        first = np.flatnonzero(np.triu(hit, i0 + 1))
-        if first.size:
-            r, j = divmod(int(first[0]), m)
-            return i0 + r, j
-    return None
-
 
 @dataclass(frozen=True)
 class SquareDissection:
@@ -84,9 +56,9 @@ class SquareDissection:
 
     ``w``, ``h`` and every square component must be integers (Python or
     numpy; bool and float are refused).  Construction validates the
-    partition: positive sides, containment, pairwise
-    interior-disjointness, and total area w*h.  Squares are stored
-    sorted as tuples of Python ints.
+    partition: positive sides, containment, total area w*h, and then
+    the corner counts of a tiling, which rule out overlaps.  Squares
+    are stored sorted as tuples of Python ints.
     """
 
     w: int
@@ -104,19 +76,30 @@ class SquareDissection:
                 raise ValueError(f"square {sq} is not (x, y, side)")
             squares.append(sq)
         squares = tuple(sorted(squares))
-        area = 0
+        # a cover count is the 2-D prefix sum of its corner differences, so
+        # the squares tile the rectangle exactly when the corners that count
+        # +1 (squares' lower-left and upper-right, rectangle's other two)
+        # and those that count -1 are equal multisets
+        area, plus, minus = 0, [(w, 0), (0, h)], [(0, 0), (w, h)]
         for x, y, s in squares:
             if s < 1:
                 raise ValueError(f"square {(x, y, s)} has nonpositive side")
             if x < 0 or y < 0 or x + s > w or y + s > h:
                 raise ValueError(f"square {(x, y, s)} leaves the rectangle")
             area += s * s
-        pair = _first_overlap(squares, max(w, h))
-        if pair is not None:
-            a, b = squares[pair[0]], squares[pair[1]]
-            raise ValueError(f"squares {a} and {b} overlap")
+            plus += ((x, y), (x + s, y + s))
+            minus += ((x + s, y), (x, y + s))
         if area != w * h:
             raise ValueError(f"square areas cover {area} of {w * h}")
+        plus.sort()
+        minus.sort()
+        if plus != minus:
+            # the least point whose counts differ is the least at the
+            # first mismatch; contained squares of full area that do not
+            # tile must overlap
+            px, py = next(min(a, b) for a, b in zip(plus, minus) if a != b)
+            raise ValueError(
+                f"squares overlap: corner counts at ({px}, {py}) differ from a tiling")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "squares", squares)

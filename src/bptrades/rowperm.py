@@ -16,7 +16,7 @@ import numpy as np
 
 from bptrades.core import _integer, _mate, _modulus
 from bptrades.matrices import TradeMatrix, symbol_system
-from bptrades.trades import TradePair, validate_orthogonal_trade
+from bptrades.trades import TradePair
 
 __all__ = [
     "RowPermutation",
@@ -65,6 +65,9 @@ class RowPermutation:
     def from_map(cls, p: int, moved: dict[int, int]) -> "RowPermutation":
         images = list(range(_integer(p, "p")))
         for a, b in moved.items():
+            a = _integer(a, "row")
+            if not 0 <= a < len(images):
+                raise ValueError(f"row {a} out of range 0..{len(images) - 1}")
             images[a] = b
         return cls(p, tuple(images))
 
@@ -114,12 +117,14 @@ def rowperm_from_symbol(t: TradePair, s: int) -> RowPermutation:
 def trade_from_matrix(A: TradeMatrix, u: tuple[int, ...], k: int, p: int) -> TradePair:
     """Rebuild a row-permutation trade from a P1-P3 matrix system.
 
-    phi sits at the -1 entries and phi_prime at the -(k-1) entries
-    (u labels the rows).  For k = 2 the two roles coincide and each row
-    holds two -1 entries; the bipartite 2-regular multigraph they form
-    is split into two permutations cycle by cycle, taking the least
-    column edge of the least row of each cycle as phi.  A -2 entry
-    would force phi = phi_prime on a row, which no trade allows.
+    Each row and each column must hold k on the diagonal and exactly
+    -1 and -(k-1) off it (u labels the rows).  These entries form a
+    bipartite 2-regular multigraph, split into phi and phi_prime by one
+    walk for every k: each cycle starts at its least row, along that
+    row's least -1 column as phi, and alternates.  For k != 2 the phi
+    edges are exactly the -1 entries; for k = 2, where the two roles
+    coincide, the walk fixes the orientation.  A -2 entry would force
+    phi = phi_prime on a row, which no trade allows.
     """
     return trade_from_rowperm(_rowperm_from_matrix(A, u, k, p), k)
 
@@ -134,52 +139,34 @@ def _rowperm_from_matrix(A: TradeMatrix, u: tuple[int, ...], k: int, p: int) -> 
     if any(not 0 <= x < p for x in u):
         raise ValueError(f"u entries out of range mod {p}")
 
-    if k == 2:
-        cols: list[list[int]] = []
-        for i, row in enumerate(A.entries):
-            if row[i] != 2:
-                raise ValueError(f"diagonal entry ({i},{i}) = {row[i]}, expected 2")
-            if any(row[j] < -1 for j in range(m) if j != i):
-                raise ValueError(
-                    f"row {i} holds a -2; phi and phi_prime cannot coincide")
-            ones = [j for j in range(m) if j != i and row[j] == -1]
-            if len(ones) != 2:
-                raise ValueError(f"row {i} needs exactly two -1 entries, got {ones}")
-            cols.append(ones)
-        rows_of: list[list[int]] = [[] for _ in range(m)]
-        for i, pair in enumerate(cols):
-            for j in pair:
-                rows_of[j].append(i)
-        if any(len(rs) != 2 for rs in rows_of):
-            raise ValueError("columns must each hold exactly two -1 entries")
-        # the -1 entries form a bipartite 2-regular graph; walk each cycle,
-        # alternating edges between phi and phi_prime, starting from the
-        # least row along its least column (fixes the orientation)
-        phi_idx: dict[int, int] = {}
-        for start in range(m):
-            if start in phi_idx:
-                continue
-            i, j = start, min(cols[start])
-            while True:
-                phi_idx[i] = j
-                i = rows_of[j][1] if rows_of[j][0] == i else rows_of[j][0]
-                if i == start:
-                    break
-                j = cols[i][1] if cols[i][0] == j else cols[i][0]
-        phi_map = {u[i]: u[j] for i, j in phi_idx.items()}
-    else:
-        phi_map = {}
-        for i, row in enumerate(A.entries):
-            if row[i] != k:
-                raise ValueError(f"diagonal entry ({i},{i}) = {row[i]}, expected {k}")
-            ones = [j for j in range(m) if j != i and row[j] == -1]
-            big = [j for j in range(m) if j != i and row[j] == 1 - k]
-            if len(ones) != 1 or len(big) != 1:
-                raise ValueError(f"row {i} does not split into one -1 and one -(k-1)")
-            phi_map[u[i]] = u[ones[0]]
-
-    if sorted(phi_map.values()) != sorted(u):
-        raise ValueError("phi read from the matrix is not a permutation")
+    # the column check keeps a k != 2 matrix whose -1 entries share a
+    # column out of the walk, which reads phi off the rows alone
+    pair = sorted((-1, 1 - k))
+    cols: list[list[int]] = []
+    rows_of: list[list[int]] = [[] for _ in range(m)]
+    for i, row in enumerate(A.entries):
+        if row[i] != k:
+            raise ValueError(f"diagonal entry ({i},{i}) = {row[i]}, expected {k}")
+        off = [j for j in range(m) if j != i and row[j]]
+        if sorted(row[j] for j in off) != pair:
+            raise ValueError(f"row {i} does not split into -1 and {1 - k}")
+        cols.append(off)
+        for j in off:
+            rows_of[j].append(i)
+    for j, rs in enumerate(rows_of):
+        if sorted(A.entries[i][j] for i in rs) != pair:
+            raise ValueError(f"column {j} does not split into -1 and {1 - k}")
+    phi_map: dict[int, int] = {}
+    for start in range(m):
+        if u[start] in phi_map:
+            continue
+        i, j = start, min(j for j in cols[start] if A.entries[start][j] == -1)
+        while True:
+            phi_map[u[i]] = u[j]
+            i = rows_of[j][1] if rows_of[j][0] == i else rows_of[j][0]
+            if i == start:
+                break
+            j = cols[i][1] if cols[i][0] == j else cols[i][0]
     if any(v % p for v in A.apply(u)):
         raise ValueError(f"A*u != 0 mod {p}")
     return RowPermutation.from_map(p, phi_map)

@@ -73,7 +73,7 @@ import numpy as np
 
 from bptrades.core import LatinSquare, Orthomorphism, Transversal, _integer, _mate, _modulus
 from bptrades.rowperm import RowPermutation, rowperm_orthogonal
-from bptrades.trades import TradePair, validate_orthogonal_trade
+from bptrades.trades import TradePair
 
 __all__ = [
     "TRANSVERSAL_CAP",

@@ -125,6 +125,8 @@ FIG1_FALSE_ROW = ((False, 0, 0, 3),) + FIG1_ENTRIES[1:]
     (lambda: Orthomorphism(3, (False, 2, True)), "image=False is not an integer"),
     (lambda: Transversal(3, ((0, 0.0), (1, 2.0), (2, 1.0))), "column=0.0 is not an integer"),
     (lambda: RowPermutation(5, (1.0, 2, 0, 3, 4)), "image=1.0 is not an integer"),
+    # read as row 1
+    (lambda: RowPermutation.from_map(5, {True: 2, 2: 3, 3: 1}), "row=True is not an integer"),
     # returned 1, the root of True % 7
     (lambda: sqrt_mod(True, 7), "a=True is not an integer"),
 ])

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -39,8 +40,9 @@ def b13_dissection() -> SquareDissection:
 
 
 def _ref_partition_error(w, h, squares):
-    # the partition test before the vectorized overlap scan: every pair
-    # of squares in itertools.combinations order; the message or None
+    # the partition test before the corner rule: every pair of squares
+    # in itertools.combinations order, overlap before area; the message
+    # or None
     squares = tuple(sorted(tuple(sq) for sq in squares))
     area = 0
     for x, y, s in squares:
@@ -190,44 +192,99 @@ def test_accepts_numpy_integers():
     assert d.to_json() == b13_dissection().to_json()
 
 
-def test_overlap_reports_first_pair_in_combinations_order():
+def _kind(message):
+    # which check refused: side, leaves, cover or overlap; None accepts
+    if message is None:
+        return None
+    return next(k for k in ("side", "leaves", "cover", "overlap") if k in message)
+
+
+def _least_corner_mismatch(w, h, squares):
+    # the least point whose +1 and -1 corner counts differ, by Counter
+    plus = Counter([(w, 0), (0, h)])
+    minus = Counter([(0, 0), (w, h)])
+    for x, y, s in squares:
+        plus.update([(x, y), (x + s, y + s)])
+        minus.update([(x + s, y), (x, y + s)])
+    return min(pt for pt in plus | minus if plus[pt] != minus[pt])
+
+
+def test_area_checked_before_overlap():
+    # the pair scan named (0, 0, 2) and (1, 0, 1) here; the areas sum to
+    # 11 of 9, and the area check now runs before the corner counts
     squares = ((0, 0, 2), (1, 1, 2), (0, 2, 1), (2, 0, 1), (1, 0, 1))
-    assert _partition_error(3, 3, squares) == "squares (0, 0, 2) and (1, 0, 1) overlap"
-    assert _partition_error(3, 3, squares) == _ref_partition_error(3, 3, squares)
+    assert _partition_error(3, 3, squares) == "square areas cover 11 of 9"
+    assert _ref_partition_error(3, 3, squares) == "squares (0, 0, 2) and (1, 0, 1) overlap"
+    # without the extra squares the areas match and the corners name (0, 2)
+    squares = ((0, 0, 2), (1, 1, 2), (2, 0, 1))
+    assert _partition_error(3, 3, squares) == (
+        "squares overlap: corner counts at (0, 2) differ from a tiling")
+    assert _kind(_ref_partition_error(3, 3, squares)) == "overlap"
 
 
-def test_overlap_scan_in_blocks(monkeypatch):
-    # blocks of one and two rows find the same first pair as one block
+def test_overlap_names_least_differing_corner():
+    # a 6 x 6 unit grid with (1, 1) moved onto (4, 5) and (3, 2) onto
+    # (3, 1): the hole at (1, 1) is the least point whose counts differ
     squares = [(x, y, 1) for x in range(6) for y in range(6)]
     squares[20] = (squares[20][0], squares[20][1] - 1, 1)
     squares[7] = (4, 5, 1)
-    expected = _ref_partition_error(6, 6, squares)
-    assert "overlap" in expected
-    for cells in (1, 40, 72, 1 << 20):
-        monkeypatch.setattr(dissect, "_OVERLAP_BLOCK", cells)
-        assert _partition_error(6, 6, squares) == expected
+    assert _kind(_ref_partition_error(6, 6, squares)) == "overlap"
+    assert _least_corner_mismatch(6, 6, squares) == (1, 1)
+    assert _partition_error(6, 6, squares) == (
+        "squares overlap: corner counts at (1, 1) differ from a tiling")
 
 
 def test_overlap_beyond_int64():
     big = 2**70
     assert SquareDissection(big, big, ((0, 0, big),)).squares == ((0, 0, big),)
+    assert SquareDissection(2 * big, big, ((0, 0, big), (big, 0, big))).order == 2
     squares = ((0, 0, big), (big - 1, big - 1, 1))
-    assert _partition_error(big, big, squares) == _ref_partition_error(big, big, squares)
-    assert "overlap" in _partition_error(big, big, squares)
+    assert _partition_error(big, big, squares) == (
+        f"square areas cover {big * big + 1} of {big * big}")
+    squares = ((0, 0, big), (big - 1, 0, big))
+    assert _kind(_ref_partition_error(2 * big, big, squares)) == "overlap"
+    assert _partition_error(2 * big, big, squares) == (
+        f"squares overlap: corner counts at ({big - 1}, 0) differ from a tiling")
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(split_tilings(), st.data())
-def test_shifted_square_overlap_matches_reference(tiling, data):
+def test_perturbed_tiling_matches_reference(tiling, data):
+    # one square moved, grown or shrunk by 1, dropped or duplicated: the
+    # corner rule accepts or refuses as the pair scan does, and with the
+    # full area both name the same kind of fault
     w, h, squares = tiling
     i = data.draw(st.integers(0, len(squares) - 1))
     x, y, s = squares[i]
-    moved = (data.draw(st.integers(0, w - s)), data.draw(st.integers(0, h - s)), s)
-    assume(moved != squares[i])
-    squares[i] = moved
-    expected = _ref_partition_error(w, h, squares)
-    assert "overlap" in expected
-    assert _partition_error(w, h, squares) == expected
+    how = data.draw(st.sampled_from(["move", "grow", "shrink", "drop", "duplicate"]))
+    if how == "move":
+        squares[i] = (data.draw(st.integers(0, w - s)), data.draw(st.integers(0, h - s)), s)
+    elif how in ("grow", "shrink"):
+        squares[i] = (x, y, s + 1 if how == "grow" else s - 1)
+    elif how == "drop":
+        del squares[i]
+    else:
+        squares.append(squares[i])
+    got, expected = _partition_error(w, h, squares), _ref_partition_error(w, h, squares)
+    assert (got is None) == (expected is None)
+    if _kind(expected) in ("side", "leaves"):
+        assert got == expected
+    if sum(sq[2] ** 2 for sq in squares) == w * h:
+        assert _kind(got) == _kind(expected)
+    if _kind(got) == "overlap":
+        px, py = _least_corner_mismatch(w, h, squares)
+        assert got == f"squares overlap: corner counts at ({px}, {py}) differ from a tiling"
+
+
+def test_unit_grid_document_loads_fast():
+    # the pair scan took about 10 s on these 40,000 squares
+    text = json.dumps({"w": 200, "h": 200,
+                       "squares": [[x, y, 1] for x in range(200) for y in range(200)]})
+    start = time.perf_counter()
+    d = SquareDissection.from_json(text)
+    elapsed = time.perf_counter() - start
+    assert d.order == 40_000
+    assert elapsed < 2.0, f"loading took {elapsed:.2f} s"
 
 
 def test_json_round_trip():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bptrades.matrices import TradeMatrix, balance_matrix, size_bounds, symbol_system
@@ -12,6 +13,7 @@ from bptrades.rowperm import (
     trade_from_matrix,
     trade_from_rowperm,
 )
+from bptrades.search import spectrum
 from bptrades.trades import validate_orthogonal_trade
 
 from test_trades import B13, FIG1, FIG2
@@ -43,6 +45,23 @@ def test_from_cycle():
     sigma = RowPermutation.from_cycle(7, (0, 1, 3))
     assert sigma.images[0] == 1 and sigma.images[1] == 3 and sigma.images[3] == 0
     assert sigma.support == (0, 1, 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    # raised IndexError
+    (lambda: RowPermutation.from_cycle(5, (0, 7, 1)), r"^row 7 out of range 0\.\.4$"),
+    # read -1 as row 4
+    (lambda: RowPermutation.from_map(5, {-1: 0, 0: 1, 1: 4}), r"^row -1 out of range 0\.\.4$"),
+    (lambda: RowPermutation.from_map(5, {1.0: 2, 2: 3, 3: 1}), "^row=1.0 is not an integer$"),
+])
+def test_from_map_checks_every_key(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_from_map_accepts_numpy_keys():
+    sigma = RowPermutation.from_map(7, {np.int64(0): 4, np.int32(4): 5, np.uint8(5): 0})
+    assert sigma == FIG2_SIGMA
 
 
 # -- orthogonality test ------------------------------------------------------
@@ -134,6 +153,30 @@ def test_b13_balance_matrix_gives_index_two_trade():
     assert t.rows_used() == (0, 5, 8, 10, 11, 12)
     assert t.size == 13 * 6
     assert validate_orthogonal_trade(t).is_orthogonal_trade
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_matrix_walk_matches_symbol_rowperm_for_every_certificate(p):
+    # every symbol of every spectrum certificate, k >= 3: the walk reads
+    # the same sigma off the symbol's matrix as rowperm_from_symbol does
+    pairs = 0
+    for k in range(3, p):
+        for t in spectrum(p, k).certificates.values():
+            for s in sorted({b for _, _, b, _ in t.entries}):
+                sys = symbol_system(t, s)
+                got = trade_from_matrix(sys.matrix, sys.rows, k, p)
+                expected = trade_from_rowperm(rowperm_from_symbol(t, s), k)
+                assert got == expected and got.entries == expected.entries
+                pairs += 1
+    assert pairs == {5: 28, 7: 636}[p]
+
+
+def test_shared_minus_one_column_rejected():
+    # k = 3, rows split into -1 and -2, but the -1 entries of rows 0 and
+    # 2 share column 1 and column 0 holds two -2 entries
+    A = TradeMatrix(3, ((3, -1, -2), (-2, 3, -1), (-2, -1, 3)))
+    with pytest.raises(ValueError, match="^column 0 does not split into -1 and -2$"):
+        trade_from_matrix(A, (0, 1, 2), 3, 7)
 
 
 def test_minus_two_entry_rejected():

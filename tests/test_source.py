@@ -60,3 +60,37 @@ def test_cli_verbs_leave_value_errors_to_run():
              & {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)})
     ]
     assert caught == [], f"verbs catch ValueError: {caught}"
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # __init__.py only re-exports; elsewhere an import must be read, in
+    # code or inside a quoted annotation
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    trees = [tree] + [
+        ast.parse(node.value, mode="eval")
+        for annotation in _annotations(tree)
+        for node in ast.walk(annotation)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    used = {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items() if name not in used)
+    assert unused == [], f"{path.name} imports names it never reads: {unused}"
