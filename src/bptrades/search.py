@@ -682,11 +682,11 @@ def spectrum(
     cover by bitmasks, anti-diagonals tried first so near-identity
     labelings surface early) and runs the labeling DP per partition.
     Stops early once ``targets`` is covered or the budget expires, in
-    which case exhaustive is False.  A budget that expires while the
-    transversals are still being enumerated leaves the symbol swaps,
-    sizes m*p, which need no search.  Above ``TRANSVERSAL_CAP`` a budget
-    is required: the enumeration alone would not finish.  p above
-    ``SPECTRUM_P_MAX`` is refused.
+    which case exhaustive is False.  A budget that expires, while the
+    transversals are enumerated or while the covers are searched, leaves
+    at least the symbol swaps, sizes m*p, which need no search.  Above
+    ``TRANSVERSAL_CAP`` a budget is required: the enumeration alone would
+    not finish.  p above ``SPECTRUM_P_MAX`` is refused.
     """
     p = _modulus(p)
     _check_spectrum_p(p, budget)
@@ -696,11 +696,15 @@ def spectrum(
     try:
         masks, groups, roots = _cover_tables(p, k, deadline)
     except BudgetExpired:
-        sizes, certificates, exhaustive = _symbol_swaps(p, k)
+        sizes, certificates, exhaustive = set(), {}, False
     else:
         sizes, certificates, exhaustive = _cover_search(
             p, k, masks, groups, roots, deadline, targets
         )
+    if not exhaustive and (targets is None or not targets <= sizes):
+        # the budget expired; the covers' own certificates take precedence
+        swaps = _symbol_swaps(p, k)[1]
+        sizes, certificates = sizes | set(swaps), {**swaps, **certificates}
     return SpectrumResult(
         p=p,
         per_k={k: frozenset(sizes)},

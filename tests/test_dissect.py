@@ -247,24 +247,9 @@ def test_overlap_beyond_int64():
         f"squares overlap: corner counts at ({big - 1}, 0) differ from a tiling")
 
 
-@settings(max_examples=300, deadline=None)
-@given(split_tilings(), st.data())
-def test_perturbed_tiling_matches_reference(tiling, data):
-    # one square moved, grown or shrunk by 1, dropped or duplicated: the
-    # corner rule accepts or refuses as the pair scan does, and with the
-    # full area both name the same kind of fault
-    w, h, squares = tiling
-    i = data.draw(st.integers(0, len(squares) - 1))
-    x, y, s = squares[i]
-    how = data.draw(st.sampled_from(["move", "grow", "shrink", "drop", "duplicate"]))
-    if how == "move":
-        squares[i] = (data.draw(st.integers(0, w - s)), data.draw(st.integers(0, h - s)), s)
-    elif how in ("grow", "shrink"):
-        squares[i] = (x, y, s + 1 if how == "grow" else s - 1)
-    elif how == "drop":
-        del squares[i]
-    else:
-        squares.append(squares[i])
+def _assert_matches_reference(w, h, squares):
+    # the corner rule accepts or refuses as the pair scan does, and with
+    # the full area both name the same kind of fault
     got, expected = _partition_error(w, h, squares), _ref_partition_error(w, h, squares)
     assert (got is None) == (expected is None)
     if _kind(expected) in ("side", "leaves"):
@@ -274,6 +259,38 @@ def test_perturbed_tiling_matches_reference(tiling, data):
     if _kind(got) == "overlap":
         px, py = _least_corner_mismatch(w, h, squares)
         assert got == f"squares overlap: corner counts at ({px}, {py}) differ from a tiling"
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_tilings(), st.data())
+def test_shifted_square_overlap_matches_reference(tiling, data):
+    # one square moved inside the rectangle keeps the area, so both
+    # rules refuse it as an overlap
+    w, h, squares = tiling
+    i = data.draw(st.integers(0, len(squares) - 1))
+    x, y, s = squares[i]
+    moved = (data.draw(st.integers(0, w - s)), data.draw(st.integers(0, h - s)), s)
+    assume(moved != squares[i])
+    squares[i] = moved
+    assert _kind(_ref_partition_error(w, h, squares)) == "overlap"
+    _assert_matches_reference(w, h, squares)
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_tilings(), st.data())
+def test_perturbed_tiling_matches_reference(tiling, data):
+    # one square grown or shrunk by 1, dropped or duplicated
+    w, h, squares = tiling
+    i = data.draw(st.integers(0, len(squares) - 1))
+    x, y, s = squares[i]
+    how = data.draw(st.sampled_from(["grow", "shrink", "drop", "duplicate"]))
+    if how in ("grow", "shrink"):
+        squares[i] = (x, y, s + 1 if how == "grow" else s - 1)
+    elif how == "drop":
+        del squares[i]
+    else:
+        squares.append(squares[i])
+    _assert_matches_reference(w, h, squares)
 
 
 def test_unit_grid_document_loads_fast():

@@ -985,6 +985,24 @@ def test_spectrum_budget_expiry_is_partial():
     assert res.budget_used < 5
 
 
+def test_budget_spent_in_the_cover_search_keeps_the_symbol_swaps(monkeypatch):
+    # tables built just inside the budget left a cover search that found
+    # no cover before the deadline, and the result reported no size
+    tables = _cover_tables(7, 2)
+
+    def slow_tables(p, k, deadline=None):
+        time.sleep(0.01)
+        return tables
+
+    monkeypatch.setattr("bptrades.search._cover_tables", slow_tables)
+    res = spectrum(7, 2, budget=0.0)
+    assert not res.exhaustive
+    assert res.sizes == {0} | {7 * m for m in range(2, 8)}
+    for size, trade in res.certificates.items():
+        report = validate_orthogonal_trade(trade)
+        assert report and report.size == size
+
+
 def test_spectrum_budget_bounds_the_enumeration(capsys):
     # B_17(2) has far too many transversals to enumerate in half a
     # second; the budget stops the enumeration and the result keeps the
