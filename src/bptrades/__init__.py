@@ -35,7 +35,6 @@ from bptrades.matrices import (
 from bptrades.rowperm import (
     RowPermutation,
     rowperm_orthogonal,
-    sqrt_mod,
     three_row_trade,
     trade_from_matrix,
     trade_from_rowperm,

@@ -27,6 +27,7 @@ from bptrades.dissect import (
     dissection_svg,
     good_dissection,
     log_trade,
+    symbol_twice_search,
 )
 from bptrades.family16 import construct as family_construct, find_k
 from bptrades.matrices import size_bounds
@@ -311,8 +312,6 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    from bptrades.dissect import symbol_twice_search
-
     os.makedirs(args.dir, exist_ok=True)
     docs = {
         "fig1.json": family_construct(7).trade.to_json(pretty=True),

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
-from bptrades.core import _mate, _modulus
+from bptrades.core import _integer, _mate, _modulus
 from bptrades.trades import TradePair, validate_latin_trade, validate_orthogonal_trade
 
 __all__ = [
@@ -34,20 +35,25 @@ SLACK = 1e-9
 
 @dataclass(frozen=True)
 class TradeMatrix:
-    """Square integer matrix with the sign pattern of a trade system."""
+    """Square integer matrix with the sign pattern of a trade system;
+    m and the entries follow the integer rule and are stored as ints."""
 
     m: int
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.m < 1 or len(self.entries) != self.m:
-            raise ValueError(f"expected {self.m} rows, got {len(self.entries)}")
-        for i, row in enumerate(self.entries):
-            if len(row) != self.m:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {self.m}")
+        m = _integer(self.m, "m")
+        entries = tuple(tuple(map(_integer, row, repeat("entry"))) for row in self.entries)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "entries", entries)
+        if m < 1 or len(entries) != m:
+            raise ValueError(f"expected {m} rows, got {len(entries)}")
+        for i, row in enumerate(entries):
+            if len(row) != m:
+                raise ValueError(f"row {i} has {len(row)} entries, expected {m}")
             if row[i] <= 0:
                 raise ValueError(f"diagonal entry ({i},{i}) = {row[i]} not positive")
-            if any(row[j] > 0 for j in range(self.m) if j != i):
+            if any(row[j] > 0 for j in range(m) if j != i):
                 raise ValueError(f"positive off-diagonal in row {i}")
             if sum(row) < 0:
                 raise ValueError(f"row {i} sums to {sum(row)} < 0")
@@ -140,8 +146,8 @@ def symbol_system(t: TradePair, s: int) -> SymbolSystem:
         row[index[r]] = k
         row[index[phi[r]]] -= 1
         row[index[phi_prime[r]]] -= k - 1
-        entries.append(tuple(row))
-    matrix = TradeMatrix(len(rows), tuple(entries))
+        entries.append(row)
+    matrix = TradeMatrix(len(rows), entries)
     if any(v % p for v in matrix.apply(rows)):
         raise ValueError(f"A*u != 0 mod {p} for symbol {s}; corrupt trade")
     return SymbolSystem(matrix, rows, rows, phi, phi_prime, s, k)
@@ -169,7 +175,7 @@ def balance_matrix(t: TradePair) -> tuple[TradeMatrix, tuple[int, ...]]:
     for _, _, base, mate in t.entries:
         grid[index[base]][index[base]] += 1
         grid[index[mate]][index[base]] -= 1
-    matrix = TradeMatrix(m, tuple(tuple(row) for row in grid))
+    matrix = TradeMatrix(m, grid)
     if any(v % t.p for v in matrix.apply(symbols)):
         raise ValueError(f"D*u != 0 mod {t.p}; inconsistent trade")
     return matrix, symbols

@@ -26,7 +26,6 @@ __all__ = [
     "trade_from_matrix",
     "three_row_trade",
     "find_k",
-    "sqrt_mod",
 ]
 
 
@@ -172,44 +171,6 @@ def _rowperm_from_matrix(A: TradeMatrix, u: tuple[int, ...], k: int, p: int) -> 
     return RowPermutation.from_map(p, phi_map)
 
 
-def sqrt_mod(a: int, p: int) -> "int | None":
-    """Least square root of a mod p, or None; Tonelli-Shanks.
-
-    The auxiliary non-residue is the smallest one, so results are
-    deterministic.
-    """
-    p = _modulus(p, prime=True)
-    a = _integer(a, "a") % p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # write p-1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
-    c = pow(z, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    mm = s
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (mm - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        mm = i
-    return min(r, p - r)
-
-
 def three_row_trade(p: int) -> "tuple[RowPermutation, int] | None":
     """The three-cycle trade (0 -> 1 -> find_k(p) -> 0), present iff p = 1 mod 6."""
     p = _modulus(p, prime=True)
@@ -225,18 +186,17 @@ def three_row_trade(p: int) -> "tuple[RowPermutation, int] | None":
 def find_k(p: int) -> int:
     """The root of k^2 - k + 1 = 0 mod p lying in [2, (p+1)/2].
 
-    Roots come in pairs k, 1-k, so exactly one representative lands in
-    the range; it exists iff p = 1 mod 6.
+    k is a root exactly when -k is a primitive cube root of unity, since
+    x^3 - 1 = (x - 1)(x^2 + x + 1); those exist iff p = 1 mod 6.  The
+    least x with w = x^((p-1)/3) != 1 gives one, w, and the roots are
+    k = p - w and 1 + w: a pair k, 1-k, of which the lesser lands in the
+    range.
     """
     p = _modulus(p, prime=True)
     if p % 6 != 1:
         raise ValueError(f"p={p} is not 1 mod 6; no k with k^2-k+1 = 0 exists")
-    s = sqrt_mod(-3, p)
-    if s is None:
-        raise RuntimeError(f"-3 must be a square mod {p} when p = 1 mod 6")
-    inv2 = pow(2, -1, p)
-    k = next(r for r in ((1 + s) * inv2 % p, (1 - s) * inv2 % p)
-             if 2 <= r <= (p + 1) // 2)
+    w = next(w for w in (pow(x, (p - 1) // 3, p) for x in range(2, p)) if w != 1)
+    k = min(p - w, 1 + w)
     if (k * k - k + 1) % p:
         raise RuntimeError(f"{k} is not a root of k^2 - k + 1 mod {p}")
     return k

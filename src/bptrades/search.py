@@ -65,7 +65,7 @@ import itertools
 import time
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd, isfinite, lcm, log2
 from operator import getitem, itemgetter, ne, or_
 
@@ -496,19 +496,18 @@ def _certificate(
     return TradePair(p, 1, k, np.array(entries))
 
 
-def _symbol_swaps(p: int, k: int):
+def _symbol_swaps(p: int, k: int) -> dict[int, TradePair]:
     """The trades that cycle the symbols 0..m-1 of B_p(1), m = 0, 2..p,
-    as a partial spectrum result: they need no search.  The anti-diagonal
-    cover, which the cover search tries first, yields the same sizes.
-    The trade for m holds the cells with s = (r + c) mod p < m, and the
-    mate of s is (s + 1) mod m; m = 0 selects no cell."""
+    by size: they need no search.  The anti-diagonal cover, which the
+    cover search tries first, yields the same sizes.  The trade for m
+    holds the cells with s = (r + c) mod p < m, and the mate of s is
+    (s + 1) mod m; m = 0 selects no cell."""
     r, c = np.divmod(np.arange(p * p), p)
     s = (r + c) % p
-    certificates = {
+    return {
         m * p: TradePair(p, 1, k, np.column_stack((r, c, s, (s + 1) % max(m, 1)))[s < m])
         for m in (0, *range(2, p + 1))
     }
-    return set(certificates), certificates, False
 
 
 def _off_anti_peak(p: int, masks: list[int], roots: list[int]) -> int:
@@ -535,8 +534,8 @@ def _cover_search(
     targets: "frozenset | None",
 ):
     """Exact covers of the grid from each root in turn, each labeled by
-    the DP.  Returns the sizes found, a certificate per size and whether
-    every reachable size was witnessed.
+    the DP.  Returns a certificate per size found and whether every
+    reachable size was witnessed.
 
     A partial cover branches on its lowest uncovered cell, trying the
     transversals of ``options[cell]`` in turn.  Every transversal covers
@@ -557,7 +556,6 @@ def _cover_search(
     first certificate of each are those of the full walk.
     """
     full = (1 << (p * p)) - 1
-    sizes: set[int] = set()
     certificates: dict[int, TradePair] = {}
     chosen: list[int] = []
     # vector(i)[s] = number of cells of transversal i on anti-diagonal s
@@ -595,8 +593,7 @@ def _cover_search(
         while bits:
             if bits & 1:
                 size = p * p - agreement
-                if size not in sizes:
-                    sizes.add(size)
+                if size not in certificates:
                     found |= 1 << agreement
                     if table is None:
                         table = _labeling_table(p, vectors)
@@ -609,7 +606,7 @@ def _cover_search(
         reach = (~found & (found + 1)).bit_length() - 1
 
     def done() -> bool:
-        return targets is not None and targets <= sizes
+        return targets is not None and targets <= certificates.keys()
 
     def rec(used: int, free: int, top: int, choices) -> bool:
         # extend the partial cover ``chosen`` (cells ``used``, anti-diagonals
@@ -653,10 +650,10 @@ def _cover_search(
 
     try:
         if rec(0, (1 << p) - 1, 0, roots):
-            return sizes, certificates, False
+            return certificates, False
     except BudgetExpired:
-        return sizes, certificates, False
-    return sizes, certificates, True
+        return certificates, False
+    return certificates, True
 
 
 def _check_spectrum_p(p: int, budget: "float | None") -> None:
@@ -668,6 +665,46 @@ def _check_spectrum_p(p: int, budget: "float | None") -> None:
         )
     if p > SPECTRUM_P_MAX:
         raise ValueError(f"p={p} above the spectrum ceiling {SPECTRUM_P_MAX}")
+
+
+def _spectra(
+    p: int, ks: tuple[int, ...], budget: "float | None", targets: "frozenset | None"
+) -> SpectrumResult:
+    # the mates in turn under one deadline, each searching only for the
+    # targets the earlier ones left; an earlier certificate of a size stands
+    if targets is not None and not targets:
+        raise ValueError("targets names no size")
+    start = time.monotonic()
+    deadline = _deadline(budget)
+    per_k: dict[int, frozenset] = {}
+    certificates: dict[int, TradePair] = {}
+    exhaustive = True
+    for k in ks:
+        remaining = None if targets is None else targets.difference(certificates)
+        if remaining is not None and not remaining:
+            exhaustive = False
+            break
+        try:
+            masks, groups, roots = _cover_tables(p, k, deadline)
+        except BudgetExpired:
+            found, complete = {}, False
+        else:
+            found, complete = _cover_search(p, k, masks, groups, roots, deadline, remaining)
+        if not complete and (remaining is None or not remaining <= found.keys()):
+            # the budget expired; the covers' own certificates take precedence
+            found = {**_symbol_swaps(p, k), **found}
+        per_k[k] = frozenset(found)
+        for size in sorted(found):
+            certificates.setdefault(size, found[size])
+        exhaustive = exhaustive and complete
+    return SpectrumResult(
+        p=p,
+        per_k=per_k,
+        sizes=frozenset(certificates),
+        certificates=certificates,
+        exhaustive=exhaustive,
+        budget_used=time.monotonic() - start,
+    )
 
 
 def spectrum(
@@ -682,37 +719,16 @@ def spectrum(
     cover by bitmasks, anti-diagonals tried first so near-identity
     labelings surface early) and runs the labeling DP per partition.
     Stops early once ``targets`` is covered or the budget expires, in
-    which case exhaustive is False.  A budget that expires, while the
-    transversals are enumerated or while the covers are searched, leaves
-    at least the symbol swaps, sizes m*p, which need no search.  Above
-    ``TRANSVERSAL_CAP`` a budget is required: the enumeration alone would
-    not finish.  p above ``SPECTRUM_P_MAX`` is refused.
+    which case exhaustive is False; an empty ``targets`` is refused.  A
+    budget that expires, while the transversals are enumerated or while
+    the covers are searched, leaves at least the symbol swaps, sizes
+    m*p, which need no search.  Above ``TRANSVERSAL_CAP`` a budget is
+    required: the enumeration alone would not finish.  p above
+    ``SPECTRUM_P_MAX`` is refused.
     """
     p = _modulus(p)
     _check_spectrum_p(p, budget)
-    k = _mate(k, p)
-    start = time.monotonic()
-    deadline = _deadline(budget)
-    try:
-        masks, groups, roots = _cover_tables(p, k, deadline)
-    except BudgetExpired:
-        sizes, certificates, exhaustive = set(), {}, False
-    else:
-        sizes, certificates, exhaustive = _cover_search(
-            p, k, masks, groups, roots, deadline, targets
-        )
-    if not exhaustive and (targets is None or not targets <= sizes):
-        # the budget expired; the covers' own certificates take precedence
-        swaps = _symbol_swaps(p, k)[1]
-        sizes, certificates = sizes | set(swaps), {**swaps, **certificates}
-    return SpectrumResult(
-        p=p,
-        per_k={k: frozenset(sizes)},
-        sizes=frozenset(sizes),
-        certificates=dict(sorted(certificates.items())),
-        exhaustive=exhaustive,
-        budget_used=time.monotonic() - start,
-    )
+    return _spectra(p, (_mate(k, p),), budget, targets)
 
 
 def spectrum_all(
@@ -720,48 +736,21 @@ def spectrum_all(
     budget: "float | None" = None,
     targets: "frozenset | None" = None,
 ) -> SpectrumResult:
-    """Union of spectrum(p, k) over admissible k.
+    """Sizes of orthogonal trades of index (1, k) in B_p over every
+    admissible k.
 
     Transposition maps index-(1, k) trades to index-(1, k^-1) trades of
-    the same size, so only one k per inverse pair is enumerated; the
-    copied entries are listed in via_duality.
+    the same size, so only the mates k <= k^-1 are searched, in turn
+    under one budget; each entry is copied to k^-1, and the copies are
+    listed in via_duality.  A mate searches only for the targets the
+    earlier ones left, and none is searched once every target is met.
     """
     p = _modulus(p)
     _check_spectrum_p(p, budget)
-    start = time.monotonic()
-    deadline = _deadline(budget)
-    ks = admissible_mates(p)
-    canonical = tuple(k for k in ks if k <= pow(k, -1, p))
-    per_k: dict[int, frozenset] = {}
-    certificates: dict[int, TradePair] = {}
-    union: set[int] = set()
-    exhaustive = True
-    dual: list[int] = []
-    for k in canonical:
-        remaining = None if targets is None else targets - union
-        if remaining is not None and not remaining:
-            exhaustive = False
-            break
-        left = None if deadline is None else max(0.0, deadline - time.monotonic())
-        res = spectrum(p, k, budget=left, targets=remaining)
-        per_k[k] = res.per_k[k]
-        inv = pow(k, -1, p)
-        if inv != k:
-            per_k[inv] = res.per_k[k]
-            dual.append(inv)
-        union |= res.sizes
-        for size, cert in sorted(res.certificates.items()):
-            certificates.setdefault(size, cert)
-        exhaustive = exhaustive and res.exhaustive
-    return SpectrumResult(
-        p=p,
-        per_k=dict(sorted(per_k.items())),
-        sizes=frozenset(union),
-        certificates=certificates,
-        exhaustive=exhaustive,
-        budget_used=time.monotonic() - start,
-        via_duality=tuple(sorted(dual)),
-    )
+    res = _spectra(p, tuple(k for k in admissible_mates(p) if k <= pow(k, -1, p)), budget, targets)
+    per_k = {**res.per_k, **{pow(k, -1, p): sizes for k, sizes in res.per_k.items()}}
+    return replace(res, per_k=dict(sorted(per_k.items())),
+                   via_duality=tuple(sorted(per_k.keys() - res.per_k.keys())))
 
 
 # -- row-permutation support sizes ---------------------------------------------

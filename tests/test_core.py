@@ -23,11 +23,10 @@ from bptrades.core import (
 )
 from bptrades.dissect import log_trade, small_rowperm_pipeline, symbol_twice_search
 from bptrades.family16 import construct, find_k
-from bptrades.matrices import size_bounds, symbol_system
+from bptrades.matrices import TradeMatrix, size_bounds, symbol_system
 from bptrades.rowperm import (
     RowPermutation,
     rowperm_orthogonal,
-    sqrt_mod,
     three_row_trade,
     trade_from_matrix,
     trade_from_rowperm,
@@ -127,8 +126,11 @@ FIG1_FALSE_ROW = ((False, 0, 0, 3),) + FIG1_ENTRIES[1:]
     (lambda: RowPermutation(5, (1.0, 2, 0, 3, 4)), "image=1.0 is not an integer"),
     # read as row 1
     (lambda: RowPermutation.from_map(5, {True: 2, 2: 3, 3: 1}), "row=True is not an integer"),
-    # returned 1, the root of True % 7
-    (lambda: sqrt_mod(True, 7), "a=True is not an integer"),
+    # built a 1x1 matrix, and a float system passed trade_from_matrix
+    (lambda: TradeMatrix(True, ((1,),)), "m=True is not an integer"),
+    (lambda: trade_from_matrix(
+        TradeMatrix(3, tuple(tuple(map(float, row)) for row in S0.matrix.entries)), S0.u, 3, 7),
+     "entry=3.0 is not an integer"),
 ])
 def test_integer_rule_refuses_non_integers(call, message):
     with pytest.raises(ValueError, match=message):
@@ -160,7 +162,6 @@ P_ELL_K_CALLS = {
     "trade_from_rowperm": lambda v: trade_from_rowperm(SIGMA7, v),
     "trade_from_matrix-k": lambda v: trade_from_matrix(S0.matrix, S0.u, v, 7),
     "trade_from_matrix-p": lambda v: trade_from_matrix(S0.matrix, S0.u, 3, v),
-    "sqrt_mod": lambda v: sqrt_mod(2, v),
     "find_k": find_k,
     "three_row_trade": three_row_trade,
     "construct": construct,
@@ -342,11 +343,10 @@ def test_mols_family_requires_prime():
         find_k,
         log_trade,
         lambda p: size_bounds(p, 2),
-        lambda p: sqrt_mod(2, p),
         construct,
     ],
     ids=["mols_family", "diagonal_histogram", "rowperm_sizes", "min_distance_from_linear",
-         "three_row_trade", "find_k", "log_trade", "size_bounds", "sqrt_mod", "construct"],
+         "three_row_trade", "find_k", "log_trade", "size_bounds", "construct"],
 )
 def test_prime_only_operations_share_one_check(call):
     with pytest.raises(ValueError, match=r"^p=9 must be prime$"):

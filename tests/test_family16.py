@@ -3,6 +3,7 @@ import itertools
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import bptrades.trades as trades
@@ -34,6 +35,14 @@ FIG4_ENTRIES = (
 def test_find_k_known_values(p, k):
     assert find_k(p) == k
     assert (k * k - k + 1) % p == 0
+
+
+def test_find_k_matches_brute_force():
+    # the one root of k^2 - k + 1 in 2..(p+1)/2, by scanning every k
+    for p in primes_up_to(10_000):
+        if p % 6 == 1:
+            k = np.arange(2, (p + 1) // 2 + 1)
+            assert k[(k * k - k + 1) % p == 0].tolist() == [find_k(p)], p
 
 
 def test_find_k_rejects_wrong_residue_class():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +14,7 @@ from bptrades.matrices import (
     size_bounds,
     symbol_system,
 )
+from bptrades.rowperm import trade_from_matrix
 from bptrades.trades import TradePair
 
 from test_trades import B13, FIG1, FIG2
@@ -42,6 +44,20 @@ def test_trade_matrix_sign_pattern_enforced():
         TradeMatrix(2, ((1, 1), (-1, 1)))
     with pytest.raises(ValueError):
         TradeMatrix(2, ((1, -2), (-1, 2)))
+
+
+def test_trade_matrix_applies_the_integer_rule():
+    # True passed as m = 1, and a float system rebuilt FIG2, since
+    # -1.0 == -1 and the walk and A*u checks compare values only
+    with pytest.raises(ValueError, match="m=True is not an integer"):
+        TradeMatrix(True, ((1,),))
+    floats = tuple(tuple(map(float, row)) for row in S0_MATRIX)
+    with pytest.raises(ValueError, match="entry=3.0 is not an integer"):
+        trade_from_matrix(TradeMatrix(3, floats), (0, 4, 5), 3, 7)
+    A = TradeMatrix(np.int64(3), [[np.int32(v) for v in row] for row in S0_MATRIX])
+    assert A == TradeMatrix(3, S0_MATRIX)
+    assert type(A.m) is int and all(type(v) is int for row in A.entries for v in row)
+    assert trade_from_matrix(A, (0, 4, 5), 3, 7) == FIG2
 
 
 def test_minor_matrix_drops_row_and_column():

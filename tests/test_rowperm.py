@@ -8,7 +8,6 @@ from bptrades.rowperm import (
     RowPermutation,
     rowperm_orthogonal,
     rowperm_from_symbol,
-    sqrt_mod,
     three_row_trade,
     trade_from_matrix,
     trade_from_rowperm,
@@ -247,30 +246,3 @@ def test_three_row_k_solves_quadratic(p):
     assert 2 <= k <= (p + 1) // 2
     assert len(sigma.support) > math.log(p) / math.log(size_bounds(p, k).K)
 
-
-# -- modular square roots --------------------------------------------------------
-
-
-def test_sqrt_mod_examples():
-    assert sqrt_mod(-3, 7) == 2
-    assert sqrt_mod(-3, 11) is None
-    assert sqrt_mod(0, 13) == 0
-    assert sqrt_mod(-3, 13) == 6
-    assert sqrt_mod(2, 17) == 6
-    assert sqrt_mod(2, 41) == 17
-
-
-def test_sqrt_mod_rejects_composite():
-    with pytest.raises(ValueError):
-        sqrt_mod(4, 9)
-
-
-@pytest.mark.parametrize("p", [13, 17, 29, 97, 193])
-def test_sqrt_mod_round_trip(p):
-    for a in range(p):
-        r = sqrt_mod(a, p)
-        if r is None:
-            assert all(x * x % p != a for x in range(p))
-        else:
-            assert r * r % p == a % p
-            assert r <= p - r  # least root

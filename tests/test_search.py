@@ -386,11 +386,11 @@ def _ref_cover_search(p, k, masks, options, roots, deadline, targets):
         for root in roots:
             chosen.append(root)
             if rec(masks[root]):
-                return sizes, certificates, False
+                return certificates, False
             chosen.pop()
     except BudgetExpired:
-        return sizes, certificates, False
-    return sizes, certificates, True
+        return certificates, False
+    return certificates, True
 
 
 def _ref_rowperm_witnesses(p, mates):
@@ -554,7 +554,7 @@ def test_spent_deadline_stops_the_cover_search_at_its_first_node():
     masks, groups, roots = _cover_tables(11, 2)
     reads = []
     got = _cover_search(11, 2, masks, _Spy(groups, reads), roots, time.monotonic() - 1, None)
-    assert got == (set(), {}, False)
+    assert got == ({}, False)
     assert reads == []
 
 
@@ -688,10 +688,10 @@ def test_cover_bound_keeps_a_cover_that_meets_it():
     roots = [0, 3, 6]
     pruned = _cover_search(p, 2, masks, by_cell, roots, None, None)
     unpruned = _ref_cover_search(p, 2, masks, by_cell, roots, None, None)
-    assert pruned[0] == unpruned[0] == {0, 3, 4, 5, 6, 7, 8, 9}
-    assert [(size, cert.to_json()) for size, cert in pruned[1].items()] == [
-        (size, cert.to_json()) for size, cert in unpruned[1].items()]
-    assert pruned[2] and unpruned[2]
+    assert set(pruned[0]) == set(unpruned[0]) == {0, 3, 4, 5, 6, 7, 8, 9}
+    assert [(size, cert.to_json()) for size, cert in pruned[0].items()] == [
+        (size, cert.to_json()) for size, cert in unpruned[0].items()]
+    assert pruned[1] and unpruned[1]
 
 
 def test_anti_diagonal_allowance_keeps_a_cover_that_meets_it():
@@ -714,10 +714,10 @@ def test_anti_diagonal_allowance_keeps_a_cover_that_meets_it():
     assert _off_anti_peak(p, masks, roots) == 2
     pruned = _cover_search(p, 2, masks, by_cell, roots, None, None)
     unpruned = _ref_cover_search(p, 2, masks, by_cell, roots, None, None)
-    assert pruned[0] == unpruned[0] == {0, 2, 3, 4, 5, 6, 7, 8, 9}
-    assert [(size, cert.to_json()) for size, cert in pruned[1].items()] == [
-        (size, cert.to_json()) for size, cert in unpruned[1].items()]
-    assert pruned[2] and unpruned[2]
+    assert set(pruned[0]) == set(unpruned[0]) == {0, 2, 3, 4, 5, 6, 7, 8, 9}
+    assert [(size, cert.to_json()) for size, cert in pruned[0].items()] == [
+        (size, cert.to_json()) for size, cert in unpruned[0].items()]
+    assert pruned[1] and unpruned[1]
 
 
 @pytest.mark.parametrize("p", [5, 7, 9])
@@ -938,6 +938,51 @@ def test_spectrum_duality_by_direct_computation():
     assert spectrum(5, 2).sizes == spectrum(5, 3).sizes
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_spectrum_all_entries_match_spectrum(p):
+    # both entry points run one loop over the mates; spectrum_all searches
+    # the mates k <= k^-1 in turn, and the first one's certificates stand
+    res = spectrum_all(p)
+    canonical = [k for k in admissible_mates(p) if k <= pow(k, -1, p)]
+    for k in canonical:
+        assert spectrum(p, k).sizes == res.per_k[k] == res.per_k[pow(k, -1, p)], k
+    first = spectrum(p, canonical[0]).certificates
+    assert [(size, cert.to_json()) for size, cert in first.items()] == [
+        (size, res.certificates[size].to_json()) for size in first]
+    assert list(res.certificates)[:len(first)] == list(first)
+
+
+def test_budget_spent_in_the_second_mate_keeps_both(monkeypatch):
+    # the mates share one deadline: the first mate's covers finish, the
+    # deadline passes while the second mate's tables are built, and that
+    # mate and the last one keep their symbol swaps
+    first = spectrum(7, 2)
+    tables = {k: _cover_tables(7, k) for k in (2, 3, 6)}
+
+    def slow_tables(p, k, deadline=None):
+        if k != 2:
+            time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
+        return tables[k]
+
+    monkeypatch.setattr("bptrades.search._cover_tables", slow_tables)
+    res = spectrum_all(7, budget=0.2)
+    swaps = {0} | {7 * m for m in range(2, 8)}
+    assert not res.exhaustive
+    assert res.per_k == {2: first.sizes, 3: swaps, 4: first.sizes, 5: swaps, 6: swaps}
+    assert res.via_duality == (4, 5)
+    assert [(size, cert.to_json()) for size, cert in res.certificates.items()] == [
+        (size, cert.to_json()) for size, cert in first.certificates.items()]
+
+
+def test_empty_targets_refused():
+    # an empty target set asks for nothing; spectrum stopped at its first
+    # cover and spectrum_all before its first mate
+    for search in (lambda: spectrum(7, 3, targets=frozenset()),
+                   lambda: spectrum_all(7, targets=frozenset())):
+        with pytest.raises(ValueError, match="targets names no size"):
+            search()
+
+
 def test_zero_and_full_always_present():
     res = spectrum(7, 2)
     assert 0 in res.sizes
@@ -1095,8 +1140,7 @@ def test_symbol_swaps_match_anti_diagonal_certificates(p):
         m * p: _certificate(p, 2, antis, [(s + 1) % m if s < m else s for s in range(p)])
         for m in (0, *range(2, p + 1))
     }
-    sizes, certificates, exhaustive = _symbol_swaps(p, 2)
-    assert (sizes, exhaustive) == (set(expected), False)
+    certificates = _symbol_swaps(p, 2)
     assert [(n, t.to_json()) for n, t in certificates.items()] == [
         (n, t.to_json()) for n, t in expected.items()]
 

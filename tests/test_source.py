@@ -94,3 +94,53 @@ def test_no_unused_imports(path):
     used = {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert unused == [], f"{path.name} imports names it never reads: {unused}"
+
+
+def _exports(tree):
+    # the names a module lists in __all__, or None
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return None
+
+
+def _bound(tree):
+    # the names a module binds at its top level
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}),
+                         ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    # a deleted function must leave __all__ too
+    tree = _tree(path)
+    exports = _exports(tree)
+    assert exports is not None, f"{path.name} has no __all__"
+    missing = sorted(set(exports) - _bound(tree))
+    assert missing == [], f"{path.name} exports unbound names {missing}"
+
+
+def test_package_imports_only_exported_names():
+    # bptrades re-exports each module's public names, and only those
+    stale = [
+        f"{node.module}.{alias.name}"
+        for node in _tree(SRC / "__init__.py").body
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("bptrades.")
+        for alias in node.names
+        if alias.name not in _exports(_tree(SRC / f"{node.module.split('.')[1]}.py"))
+    ]
+    assert stale == [], f"bptrades/__init__.py imports unexported names {stale}"
