@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -37,6 +38,24 @@ Entry = tuple[int, int, int, int]
 # The largest modulus whose codes (line*p + symbol, k*r + c) stay below
 # 2^63, so the int64 validators cannot wrap.
 P_MAX = 3_037_000_499
+
+# The compact document exactly as to_json writes it, with numbers of at
+# most 18 digits, so each fits an int64.  from_json reads such a text
+# without json.loads; [0-9], as \d would match any Unicode digit.
+_NUMBER = r"(?:0|[1-9][0-9]{0,17})"
+_COMPACT = re.compile(
+    rf'[ \t\n\r]*\{{"p": ({_NUMBER}), "ell": ({_NUMBER}), "k": ({_NUMBER}|null), '
+    r'"entries": \[(.*)\]\}[ \t\n\r]*', re.DOTALL)
+# one entry and the separator after it; the entries text plus ", " is a
+# run of these exactly when sub leaves nothing.  A repeated group in
+# _COMPACT would keep backtracking state for every entry.
+_ROW = re.compile(rf"\[{_NUMBER}, {_NUMBER}, {_NUMBER}, {_NUMBER}\], ")
+# json.dumps's text for the entries, by indent: one entry, the separator
+# between entries, and the text before the closing bracket
+_LAYOUTS = {
+    None: ("[%d, %d, %d, %d]", ", ", ""),
+    2: ("\n    [\n      %d,\n      %d,\n      %d,\n      %d\n    ]", ",", "\n  "),
+}
 
 
 class TradePair:
@@ -95,7 +114,7 @@ class TradePair:
     @property
     def entries(self) -> tuple[Entry, ...]:
         """Row-major tuple of (row, col, base, mate) entries."""
-        return tuple(map(tuple, self.array.tolist()))
+        return tuple(zip(*self.array.T.tolist()))
 
     @property
     def size(self) -> int:
@@ -105,18 +124,29 @@ class TradePair:
         return tuple(np.unique(self.array[:, 0]).tolist())
 
     def to_json(self, pretty: bool = False) -> str:
-        obj = {
-            "p": self.p,
-            "ell": self.ell,
-            "k": self.k,
-            "entries": self.array.tolist(),
-        }
-        if pretty:
-            return json.dumps(obj, indent=2) + "\n"
-        return json.dumps(obj)
+        """The JSON document of FORMATS.md, byte for byte ``json.dumps``'s
+        (with ``indent=2`` and a final newline when ``pretty``)."""
+        indent = 2 if pretty else None
+        text = json.dumps({"p": self.p, "ell": self.ell, "k": self.k, "entries": []},
+                          indent=indent)
+        if self.size:
+            row, sep, close = _LAYOUTS[indent]
+            rows = sep.join([row] * self.size) % tuple(self.array.ravel().tolist())
+            i = text.rindex("[]") + 1
+            text = text[:i] + rows + close + text[i:]
+        return text + "\n" if pretty else text
 
     @classmethod
     def from_json(cls, text: str) -> "TradePair":
+        """The trade of a JSON document; the compact layout of ``to_json``
+        is read without ``json.loads``, with the same result."""
+        m = _COMPACT.fullmatch(text)
+        if m is not None and (not m[4] or _ROW.sub("", m[4] + ", ") == ""):
+            p, ell, k, rows = m.groups()
+            entries = np.fromstring(rows.replace("[", "").replace("]", ""),
+                                    dtype=np.int64, sep=",")
+            return cls(int(p), int(ell), None if k == "null" else int(k),
+                       entries.reshape(-1, 4))
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise TypeError("a trade document must be a JSON object")

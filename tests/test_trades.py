@@ -2,11 +2,14 @@ import copy
 import json
 import math
 import pickle
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bptrades import family16
 from bptrades.core import LatinSquare, are_orthogonal, gen_bp
 from bptrades.trades import (
     P_MAX,
@@ -495,6 +498,12 @@ def test_json_key_order_and_null_k():
     assert obj["entries"] == sorted(obj["entries"])
 
 
+def test_json_without_k_reads_as_null_k():
+    obj = json.loads(FIG1.to_json())
+    del obj["k"]
+    assert TradePair.from_json(json.dumps(obj)) == TradePair(7, 1, None, FIG1_ENTRIES)
+
+
 @pytest.mark.parametrize("key, value", [
     ("p", 7.9), ("p", 7.0), ("p", "7"), ("ell", True), ("k", 3.2), ("k", False),
 ])
@@ -520,3 +529,135 @@ def test_json_boolean_among_integer_entries_rejected(value):
     literal = json.dumps(value)
     with pytest.raises(ValueError, match=rf"entry \[{literal}, 0, 0, 3\] holds a boolean"):
         TradePair.from_json(json.dumps(obj))
+
+
+# The codec as json.dumps and json.loads give it: the references for
+# to_json's row templates and from_json's compact-layout reader.
+
+
+def _ref_to_json(t: TradePair, pretty: bool = False) -> str:
+    obj = {"p": t.p, "ell": t.ell, "k": t.k, "entries": t.array.tolist()}
+    if pretty:
+        return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj)
+
+
+def _ref_from_json(text: str) -> TradePair:
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise TypeError("a trade document must be a JSON object")
+    entries = obj["entries"]
+    if "true" not in text and "false" not in text:
+        entries = np.asarray(entries)
+    return TradePair(obj["p"], obj["ell"], obj.get("k"), entries)
+
+
+def _outcome(read, text: str):
+    try:
+        return read(text)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+
+
+@st.composite
+def _trades(draw, max_size=12):
+    # P_MAX has 10 digits and is odd, so it is a modulus
+    p = draw(st.sampled_from([3, 5, 7, 9, 15, 1_000_003, P_MAX]))
+    units = st.integers(1, p - 1).filter(lambda u: math.gcd(u, p) == 1)
+    residue = st.integers(0, p - 1)
+    entries = draw(st.lists(st.tuples(residue, residue, residue, residue),
+                            max_size=max_size, unique_by=lambda e: e[:2]))
+    return TradePair(p, draw(units), draw(st.none() | units), entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trades(), st.booleans())
+def test_to_json_matches_json_dumps(t, pretty):
+    assert t.to_json(pretty) == _ref_to_json(t, pretty)
+    assert TradePair.from_json(t.to_json(pretty)) == t
+
+
+def test_to_json_matches_json_dumps_on_a_large_trade():
+    t = family16.construct(43).trade
+    for pretty in (False, True):
+        assert t.to_json(pretty) == _ref_to_json(t, pretty)
+
+
+def test_entries_are_tuples_of_ints():
+    for t in (FIG1, B13, TradePair(5, 1, 2, [])):
+        assert t.entries == tuple(map(tuple, t.array.tolist()))
+        assert all(type(e) is tuple and all(type(v) is int for v in e) for e in t.entries)
+
+
+# replacements for one number of a document, and snippets put between
+# two of its characters: each makes, as does deleting one character, a
+# text that json.loads reads differently, refuses, or reads the same in
+# another layout
+_NUMBERS = ["0", "00", "01", "-0", "-1", "+1", "1.0", "1e2", "1E2", " 1", "1 ",
+            "1 2", "", "999999999999999999", "1000000000000000000",
+            "9999999999999999999", "12345678901234567890", "true", "false", "null",
+            '"1"', "[1]", "٣", "1٣"]
+_SNIPPETS = [" ", "\t", "\n", "\r", "\x0b", "﻿", "\xa0", "1", "0", ",", ", ",
+             "[", "]", "{}", "x", "]]", ", [1, 2, 3, 4]", "[1, 2, 3, 4], ", ', "x": 1',
+             ', "k": 2', ', "p": 7', ', "intercalate": {"cells": []}']
+
+
+def _mutated(text: str) -> list[str]:
+    """Every text one replacement, one snippet or one deletion away
+    from ``text``."""
+    out = [text[:i] + new + text[j:]
+           for i, j in (m.span() for m in re.finditer("[0-9]+", text))
+           for new in _NUMBERS]
+    out += [text[:i] + text[i + 1:] for i in range(len(text))]
+    return out + [text[:i] + new + text[i:]
+                  for i in range(len(text) + 1) for new in _SNIPPETS]
+
+
+def _rekeyed(t: TradePair, data) -> str:
+    # the four keys reordered, one of them repeated or one dropped,
+    # each value in json.dumps's compact form
+    items = [("p", t.p), ("ell", t.ell), ("k", t.k), ("entries", t.array.tolist())]
+    items = data.draw(st.permutations(items))
+    how = data.draw(st.sampled_from(["reorder", "repeat", "drop"]))
+    if how == "repeat":
+        items.append(data.draw(st.sampled_from(items)))
+    elif how == "drop":
+        items.pop(data.draw(st.integers(0, 3)))
+    return "{" + ", ".join(f"{json.dumps(key)}: {json.dumps(value)}"
+                           for key, value in items) + "}"
+
+
+@pytest.mark.parametrize("t", [
+    TradePair(7, 2, 3, [(0, 0, 0, 3), (2, 5, 2, 6)]),
+    TradePair(13, 1, None, [(0, 5, 5, 0)]),
+    TradePair(5, 1, 2, []),
+], ids=["k", "null k", "empty"])
+def test_from_json_matches_json_loads_on_every_mutation(t):
+    for text in _mutated(t.to_json()):
+        assert _outcome(TradePair.from_json, text) == _outcome(_ref_from_json, text), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trades(max_size=4), st.data())
+def test_from_json_matches_json_loads_on_mutated_documents(t, data):
+    text = data.draw(st.sampled_from([_rekeyed(t, data), t.to_json()]))
+    if data.draw(st.booleans()):
+        text = data.draw(st.sampled_from(_mutated(text)))
+    assert _outcome(TradePair.from_json, text) == _outcome(_ref_from_json, text)
+
+
+def test_from_json_reads_the_compact_layout_without_json_loads(monkeypatch):
+    t = family16.construct(499).trade
+    compact, pretty = t.to_json(), t.to_json(pretty=True)
+    calls, loads = [], json.loads
+
+    def spy(text, *args, **kwargs):
+        calls.append(len(text))
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", spy)
+    assert TradePair.from_json(compact) == t
+    assert calls == []
+    # any other layout is json.loads's
+    assert TradePair.from_json(pretty) == t
+    assert calls == [len(pretty)]
