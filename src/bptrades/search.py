@@ -36,7 +36,16 @@ only that group's column tuples are kept.
 
 The moved-row walk of the row-permutation search cuts the space by the
 affine conjugation symmetry, which preserves support sizes and per-k
-orthogonality; sets of achievable values are unaffected.  The distance
+orthogonality; sets of achievable values are unaffected.  It walks one
+mate set K per class.  Read the graph of sigma as p points S of AG(2, p):
+sigma preserves mate k exactly when S meets every line y - k*x = c once,
+so with D = {inf, 0} u K, S meets every line of every slope in D once,
+and m = p - |S n {y = x}|.  A linear map that fixes slope 1 maps y = x
+onto itself and S to a set that meets every line of every slope in its
+image of D once, so the set of m depends only on the orbit of D under
+the stabiliser of slope 1 in PGL(2, p), which acts on the other p slopes
+as AGL(1, p).  A mate set in a class already walked can only repeat its
+counts, and is skipped.  The distance
 from a linear orthomorphism x -> k*x is read off the same walk: an
 orthomorphism theta differs from it exactly on the rows that the row
 permutation k^-1 * theta moves.
@@ -799,7 +808,8 @@ def _sigma_search(p, ks, record, deadline, witnessed=None):
         # rule[r][c]: the rows that value c in row r rules out.  Lane k
         # has bit x/(1 - k) at x; rotating it right by k*r puts that of
         # c - k*r at c, as the kernel builds its symbol tables
-        lanes = [[1 << c * pow(1 - k, -1, p) % p for c in range(p)] for k in ks]
+        inverses = [pow(1 - k, -1, p) for k in ks]
+        lanes = [[1 << c * inv % p for c in range(p)] for inv in inverses]
         rule = []
         for r in rows:
             ruled = [1 << c for c in range(p)]
@@ -825,15 +835,39 @@ def _sigma_search(p, ks, record, deadline, witnessed=None):
             have |= 1 << m
 
 
+def _mate_class(p: int, K: "tuple[int, ...]") -> "set[tuple[int, ...]]":
+    """The mate sets K' with {inf, 0} u K' in the orbit of D = {inf, 0} u K
+    under the maps of the projective line of slopes that fix slope 1.
+
+    Such a map that sends a to inf and b to 0, a != b in D, is one of
+    them: x -> (x - b)(1 - a) / ((x - a)(1 - b)), in homogeneous form
+    (u : v) -> ((a_v - a_u)(b_v*u - b_u*v) : (b_v - b_u)(a_v*u - a_u*v))
+    with inf = (1 : 0).  (a, b) = (0, inf) is x -> 1/x, the inverse set.
+    """
+    D = [(1, 0), (0, 1)] + [(k, 1) for k in K]
+    members = set()
+    for (au, av), (bu, bv) in itertools.permutations(D, 2):
+        images = []
+        for u, v in D:
+            x = (av - au) * (bv * u - bu * v) % p
+            y = (bv - bu) * (av * u - au * v) % p
+            if x and y:
+                images.append(x * pow(y, -1, p) % p)
+        members.add(tuple(sorted(images)))
+    return members
+
+
 def rowperm_sizes(
     p: int, mates: int, budget: "float | None" = None
 ) -> RowPermSearchResult:
     """Moved-row counts m achievable by permutations preserving
     orthogonality with ``mates`` squares B_p(k) simultaneously.
 
-    Exhausts all mate sets (up to the inverse-set symmetry) and all
-    permutations up to affine conjugation; m = p is always present (the
-    shifts) and m = p-1 whenever some scaling avoids the mate set.
+    Exhausts all mate sets, one per ``_mate_class`` (every set of a class
+    has the same counts), and all permutations up to affine conjugation;
+    m = p is always present (the shifts) and m = p-1 whenever some
+    scaling avoids the mate set.  Each count's witness is the first mate
+    set in lexicographic order that reaches it, with its first sigma.
     """
     p = _modulus(p, prime=True)
     if p > TRANSVERSAL_CAP:
@@ -848,10 +882,9 @@ def rowperm_sizes(
     exhaustive = True
     seen = set()
     for K in itertools.combinations(range(2, p), mates):
-        inv = tuple(sorted(pow(k, -1, p) for k in K))
-        if min(K, inv) in seen:
+        if K in seen:
             continue
-        seen.add(K)
+        seen |= _mate_class(p, K)
         # a pruned walk can be shorter than the kernel's deadline stride
         if deadline is not None and time.monotonic() > deadline:
             exhaustive = False

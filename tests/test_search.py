@@ -25,6 +25,7 @@ from bptrades.search import (
     _cover_tables,
     _labeling_table,
     _labels,
+    _mate_class,
     _off_anti_peak,
     _root_representatives,
     _sigma_search,
@@ -764,12 +765,57 @@ def test_targeted_spectrum_all_eleven_pinned(seed):
 
 
 @pytest.mark.parametrize("mates", range(1, 6))
-@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("p", [5, 7, 11, pytest.param(13, marks=pytest.mark.slow)])
 def test_rowperm_witnesses_match_reference(p, mates):
     res = rowperm_sizes(p, mates)
     got = [(m, sigma.images, ks) for m, (sigma, ks) in res.witnesses.items()]
     assert got == [(m, sigma, ks) for m, (sigma, ks) in _ref_rowperm_witnesses(p, mates)]
     assert res.exhaustive
+
+
+# (11, 1) takes about 2 s of reference walks on 2 cores
+@pytest.mark.parametrize("p,mates", [
+    *((p, mates) for p in (5, 7) for mates in range(1, 6)),
+    pytest.param(11, 1, marks=pytest.mark.slow),
+    *((11, mates) for mates in range(2, 6)),
+])
+def test_moved_row_counts_are_constant_on_each_mate_class(p, mates):
+    counts = {K: {m for m, _ in _ref_sigma_records(p, K)}
+              for K in itertools.combinations(range(2, p), mates)}
+    for K, want in counts.items():
+        members = _mate_class(p, K)
+        assert K in members
+        for other in members:
+            assert _mate_class(p, other) == members, (K, other)
+            assert counts[other] == want, (K, other)
+
+
+def _affine_orbit_count(p, size):
+    # orbits of the size-subsets of Z_p under x -> a*x + b, by brute force
+    seen = set()
+    orbits = 0
+    for subset in itertools.combinations(range(p), size):
+        if subset in seen:
+            continue
+        orbits += 1
+        seen.update(tuple(sorted((a * x + b) % p for x in subset))
+                    for a in range(1, p) for b in range(p))
+    return orbits
+
+
+@pytest.mark.parametrize("p,walks", [(11, [2, 4, 6, 6, 4]), (13, [3, 7, 10, 14, 14])])
+def test_rowperm_walks_one_mate_set_per_class(monkeypatch, p, walks):
+    walked = []
+
+    def spy(p, ks, *args):
+        walked.append(ks)
+        return _sigma_search(p, ks, *args)
+
+    monkeypatch.setattr("bptrades.search._sigma_search", spy)
+    for mates, want in enumerate(walks, 1):
+        walked.clear()
+        rowperm_sizes(p, mates)
+        assert len(walked) == _affine_orbit_count(p, mates + 2) == want
 
 
 def test_spectrum_json_pinned(capsys):
