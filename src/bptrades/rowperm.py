@@ -98,8 +98,11 @@ def trade_from_rowperm(sigma: RowPermutation, k: int) -> TradePair:
     a = np.empty((len(rows), p, 4), dtype=np.int64)
     a[:, :, 0] = rows[:, None]
     a[:, :, 1] = cols
-    a[:, :, 2] = (rows[:, None] + cols) % p
-    a[:, :, 3] = (np.array(sigma.images)[rows][:, None] + cols) % p
+    # row r of B_p(1) is r, ..., p - 1, 0, ..., r - 1: the window at r of
+    # 0..p-1 written twice, so no symbol needs a % p
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(cols, 2), p)
+    a[:, :, 2] = windows[rows]
+    a[:, :, 3] = windows[np.array(sigma.images)[rows]]
     return TradePair(p, 1, k, a.reshape(-1, 4))
 
 

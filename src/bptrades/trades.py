@@ -7,6 +7,19 @@ B_p(k).  Validation is local: row/column mate-vs-base multiset balance
 decides the Latin property, and the superimposed pair test against
 B_p(k) reduces to an O(size) set comparison because the untouched cells
 already realize every ordered pair exactly once.
+
+Each fact relabels by a bijection that sends a correct base to its own
+cell, coded r*p + c: within row r, s -> s - ell*r; within column c,
+s -> (s - c)/ell (bijections of Z_p); and for orthogonality, the pair
+(s, k*r + c) -> the cell of B_p(ell) x B_p(k) that holds it (a
+bijection of Z_p^2).  A bijection keeps the multiset equality the fact
+asks for, and the base side becomes the trade's cell codes, which the
+constructor sorted already.  A fact then holds when the relabelled
+mates, sorted once, equal those codes: a valid trade costs three sorts,
+none of its base (timsort where the codes come in long ascending runs,
+as from a trade built row by row, numpy's default sort otherwise).
+Only a fact that fails is diagnosed, from the sorted (line, symbol) and
+(symbol, aux) codes.
 """
 
 from __future__ import annotations
@@ -71,14 +84,16 @@ class TradePair:
     unknown (e.g. for a plain difference of squares).
 
     ``array`` is the read-only, row-major (size, 4) int64 array of the
-    entries; ``entries`` reads it as a tuple of 4-tuples.  Instances are
+    entries; ``entries`` reads it as a tuple of 4-tuples.  ``_cells``
+    holds the cell codes r*p + c, ascending, which the constructor sorts
+    the entries by and the validators compare against.  Instances are
     immutable, down to the array's data, so each validator computes its
     report once per trade and returns the stored report afterwards.
     Copies and pickles rebuild the trade through the constructor, without
     the stored reports.
     """
 
-    __slots__ = ("p", "ell", "k", "array", "_reports")
+    __slots__ = ("p", "ell", "k", "array", "_cells", "_reports")
 
     def __init__(self, p: int, ell: int, k: "int | None",
                  entries: "Sequence[Sequence[int]] | np.ndarray"):
@@ -90,7 +105,9 @@ class TradePair:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "array", _checked_array(p, entries))
+        array, cells = _checked_array(p, entries)
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_reports", {})
 
     def __reduce__(self):
@@ -158,9 +175,11 @@ class TradePair:
         return cls(obj["p"], obj["ell"], obj.get("k"), entries)
 
 
-def _checked_array(p: int, entries: "Sequence[Sequence[int]] | np.ndarray") -> np.ndarray:
+def _checked_array(p: int, entries: "Sequence[Sequence[int]] | np.ndarray"
+                   ) -> tuple[np.ndarray, np.ndarray]:
     # one pass for the ranges; the cell codes r*p + c then give the
-    # row-major order and, once sorted, the duplicates as equal neighbours
+    # row-major order and, once sorted, the duplicates as equal neighbours.
+    # Returns the entries and their cell codes, both read-only.
     a = np.asarray(entries)
     if a.shape == (0,):
         a = np.empty((0, 4), dtype=np.int64)
@@ -193,8 +212,8 @@ def _checked_array(p: int, entries: "Sequence[Sequence[int]] | np.ndarray") -> n
             raise ValueError(f"duplicate cell {tuple(a[dup[0], :2].tolist())}")
     # a read-only view of a read-only base: the view's flag cannot be
     # set back, so the data of a trade never changes
-    a.flags.writeable = False
-    return a.view()
+    a.flags.writeable = code.flags.writeable = False
+    return a.view(), code
 
 
 @dataclass(frozen=True)
@@ -231,6 +250,54 @@ class ValidationReport:
         return MappingProxyType(dict(zip(symbols.tolist(), counts.tolist())))
 
 
+def _wrapped(x: np.ndarray, p: int) -> np.ndarray:
+    # a difference of two residues, -p < x < p, reduced mod p in place:
+    # on large arrays a masked add takes less than half the time of a %
+    np.add(x, p, out=x, where=x < 0)
+    return x
+
+
+def _sorted(x: np.ndarray) -> np.ndarray:
+    # x sorted in place along its last axis.  A trade built row by row
+    # leaves its codes in long ascending runs, which timsort merges in
+    # about one pass; on short runs (a transposed trade, as canonicalize
+    # may build) and on few codes numpy's default sort is the faster one.
+    runs = x.shape[-1] >= 1024 and np.count_nonzero(x[..., 1:] < x[..., :-1]) * 64 < x.size
+    x.sort(kind="stable" if runs else None)
+    return x
+
+
+def _line_codes(t: TradePair, s: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    # the symbols s relabelled within each line, as (2, size) codes with
+    # each row sorted: in row r by s -> s - ell*r (shift), coded
+    # r*p + (s - ell*r), and in column c by s -> (s - c)/ell, coded
+    # (s - c)/ell * p + c.  A correct base codes its own cell r*p + c
+    # under both.  Every code stays below p^2.
+    a, p = t.array, t.p
+    c = a[:, 1]
+    x = np.empty((2, len(a)), dtype=np.int64)
+    np.subtract(s, shift, out=x[0])
+    np.subtract(s, c, out=x[1])
+    _wrapped(x, p)
+    if t.ell != 1:
+        x[1] *= pow(t.ell, -1, p)
+        x[1] %= p
+    x[0] += t._cells
+    x[0] -= c
+    x[1] *= p
+    x[1] += c
+    return _sorted(x)
+
+
+def _unbalanced_lines(line: np.ndarray, base: np.ndarray, mate: np.ndarray, p: int) -> list[int]:
+    # the lines whose mate multiset differs from their base multiset, from
+    # lexicographically sorted (line, symbol) codes
+    b_sorted = np.sort(line * p + base)
+    m_sorted = np.sort(line * p + mate)
+    bad = b_sorted != m_sorted
+    return sorted(set((b_sorted[bad] // p).tolist()) | set((m_sorted[bad] // p).tolist()))
+
+
 def _latin_failures(t: TradePair) -> list[tuple[str, str]]:
     a = t.array
     failures: list[tuple[str, str]] = []
@@ -238,49 +305,51 @@ def _latin_failures(t: TradePair) -> list[tuple[str, str]]:
         return failures
     r, c, base, mate = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
     p = t.p
+    shift = r if t.ell == 1 else t.ell * r % p
 
-    wrong = np.nonzero(base != (t.ell * r + c) % p)[0]
-    failures += [
-        ("latin:base", f"cell ({a[i, 0]}, {a[i, 1]}): base {a[i, 2]} is not "
-                       f"{t.ell}*{a[i, 0]}+{a[i, 1]} mod {p}")
-        for i in wrong
-    ]
-    clash = np.nonzero(mate == base)[0]
-    failures += [
-        ("latin:disjoint", f"cell ({a[i, 0]}, {a[i, 1]}): mate equals base {a[i, 2]}")
-        for i in clash
-    ]
+    # base = ell*r + c exactly when the row relabelling takes it to c;
+    # then its codes are the cell codes, sorted already
+    correct = _wrapped(base - shift, p) == c
+    if correct.all():
+        base_codes = t._cells
+    else:
+        failures += [
+            ("latin:base", f"cell ({a[i, 0]}, {a[i, 1]}): base {a[i, 2]} is not "
+                           f"{t.ell}*{a[i, 0]}+{a[i, 1]} mod {p}")
+            for i in np.flatnonzero(~correct)
+        ]
+        base_codes = _line_codes(t, base, shift)
+    clash = mate == base
+    if clash.any():
+        failures += [
+            ("latin:disjoint", f"cell ({a[i, 0]}, {a[i, 1]}): mate equals base {a[i, 2]}")
+            for i in np.flatnonzero(clash)
+        ]
 
-    # per line, the mate multiset must equal the base multiset; compare
-    # lexicographically sorted (line, symbol) arrays
-    for code, line in (("latin:row_balance", r), ("latin:col_balance", c)):
-        b_sorted = np.sort(line * p + base)
-        m_sorted = np.sort(line * p + mate)
-        bad = b_sorted != m_sorted
-        if bad.any():
-            lines = sorted(set((b_sorted[bad] // p).tolist())
-                           | set((m_sorted[bad] // p).tolist()))
-            failures += [(code, f"line {ln}: mate symbols do not rearrange base "
-                                f"symbols") for ln in lines]
+    # per line, the mate multiset must equal the base multiset.  A
+    # relabelling within each line keeps that, so the fact holds when the
+    # sorted codes of the two sides are equal; only a fact whose codes
+    # differ is diagnosed.
+    mate_codes = _line_codes(t, mate, shift)
+    if not (mate_codes == base_codes).all():
+        base_codes = np.broadcast_to(base_codes, mate_codes.shape)
+        for code, line, m, b in zip(("latin:row_balance", "latin:col_balance"), (r, c),
+                                    mate_codes, base_codes):
+            if not np.array_equal(m, b):
+                failures += [(code, f"line {ln}: mate symbols do not rearrange base symbols")
+                             for ln in _unbalanced_lines(line, base, mate, p)]
     return failures
 
 
-def _orthogonality_failures(t: TradePair) -> list[tuple[str, str]]:
-    a = t.array
+def _pair_failures(t: TradePair) -> list[tuple[str, str]]:
+    a, p = t.array, t.p
+    aux = (t.k * a[:, 0] + a[:, 1]) % p
+    # pairs as codes symbol*p + aux; equal neighbours among the new pairs
+    # are collisions, and a binary search against the removed pairs finds
+    # the foreign ones
+    new_pairs = np.sort(a[:, 3] * p + aux)
+    old_pairs = np.sort(a[:, 2] * p + aux)
     failures: list[tuple[str, str]] = []
-    if len(a) == 0:
-        return failures
-    r, c, base, mate = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    p = t.p
-    aux = (t.k * r + c) % p
-    # pairs as codes symbol*p + aux; the removed pairs are distinct, so a
-    # valid trade re-sorts to exactly them.  Otherwise equal neighbours
-    # among the new pairs are collisions, and a binary search against the
-    # removed pairs finds the foreign ones.
-    new_pairs = np.sort(mate * p + aux)
-    old_pairs = np.sort(base * p + aux)
-    if np.array_equal(new_pairs, old_pairs):
-        return failures
     starts = np.flatnonzero(np.concatenate(([True], new_pairs[1:] != new_pairs[:-1])))
     uniq = new_pairs[starts]
     counts = np.diff(starts, append=len(new_pairs))
@@ -295,6 +364,29 @@ def _orthogonality_failures(t: TradePair) -> list[tuple[str, str]]:
                          f"pair (mate {v // p}, aux {v % p}) survives elsewhere "
                          f"in the superposition"))
     return failures
+
+
+def _orthogonality_failures(t: TradePair) -> list[tuple[str, str]]:
+    a = t.array
+    if len(a) == 0:
+        return []
+    p, ell, mate = t.p, t.ell, a[:, 3]
+    # On a Latin trade base = ell*r + c, and the pair (s, k*r + c) sits in
+    # B_p(ell) x B_p(k) at row r + (base - s)/(k - ell), column s - ell*row.
+    # That cell map is a bijection of Z_p^2 taking the removed pairs to
+    # the trade's cells, so the new pairs are the removed ones exactly
+    # when their cells sort to the cell codes.  Before the first % the
+    # row stays within (p - 1)^2 + (p - 1) of 0.
+    row = a[:, 2] - mate
+    row *= pow(t.k - ell, -1, p)
+    row += a[:, 0]
+    row %= p
+    col = _wrapped(mate - (row if ell == 1 else ell * row % p), p)
+    row *= p
+    row += col
+    if (_sorted(row) == t._cells).all():
+        return []
+    return _pair_failures(t)
 
 
 def validate_latin_trade(t: TradePair) -> ValidationReport:

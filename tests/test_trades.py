@@ -159,6 +159,25 @@ def test_modulus_cap_keeps_validator_codes_in_int64():
             f"line {P_MAX - 1}: mate symbols do not rearrange base symbols") in report.failures
     assert P_MAX % 2 == 1
     assert (P_MAX - 1) * P_MAX + P_MAX - 1 < 2**63 <= (P_MAX + 2) ** 2
+    # the relabellings multiply two residues (ell*r, (s - c)/ell, ell*row)
+    # and add a residue to a product ((base - s)/(k - ell) + r)
+    assert (P_MAX - 1) ** 2 + (P_MAX - 1) < 2**63
+    # below the cap, a 140-entry Latin trade in B_q(ell), at three indices
+    from bptrades.dissect import log_trade
+
+    q = 3_037_000_493  # the largest prime below P_MAX, which is composite
+    small = log_trade(q)
+    assert small.size == 140 and validate_latin_trade(small)
+    for ell in (1, 2):
+        for k in (2, 3, q - 1):
+            t = TradePair(q, ell, k, small.array * (1, ell, ell, ell) % q)
+            # each symbol occurs twice, too few for an orthogonal trade
+            assert bool(_check_against_reference(t)) == (k != ell)
+            for i in (0, 139):
+                base, mate = t.array[i, 2:].tolist()
+                assert "latin:base" in _check_against_reference(_changed(t, i, 2, q - 1 - base))
+                assert "latin:row_balance" in _check_against_reference(
+                    _changed(t, i, 3, (mate + 1) % q))
 
 
 def test_empty_array_input():
@@ -661,3 +680,265 @@ def test_from_json_reads_the_compact_layout_without_json_loads(monkeypatch):
     # any other layout is json.loads's
     assert TradePair.from_json(pretty) == t
     assert calls == [len(pretty)]
+
+
+# -- the validators against their references ---------------------------------
+# The checks as they were before each fact relabelled its symbols: six
+# sorts of line*p + symbol codes for the Latin facts, and the sorted
+# (mate, aux) pairs against the (base, aux) pairs for orthogonality.
+
+
+def _ref_latin_failures(t: TradePair) -> list[tuple[str, str]]:
+    a = t.array
+    failures: list[tuple[str, str]] = []
+    if len(a) == 0:
+        return failures
+    r, c, base, mate = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+    p = t.p
+
+    wrong = np.nonzero(base != (t.ell * r + c) % p)[0]
+    failures += [
+        ("latin:base", f"cell ({a[i, 0]}, {a[i, 1]}): base {a[i, 2]} is not "
+                       f"{t.ell}*{a[i, 0]}+{a[i, 1]} mod {p}")
+        for i in wrong
+    ]
+    clash = np.nonzero(mate == base)[0]
+    failures += [
+        ("latin:disjoint", f"cell ({a[i, 0]}, {a[i, 1]}): mate equals base {a[i, 2]}")
+        for i in clash
+    ]
+    for code, line in (("latin:row_balance", r), ("latin:col_balance", c)):
+        b_sorted = np.sort(line * p + base)
+        m_sorted = np.sort(line * p + mate)
+        bad = b_sorted != m_sorted
+        if bad.any():
+            lines = sorted(set((b_sorted[bad] // p).tolist())
+                           | set((m_sorted[bad] // p).tolist()))
+            failures += [(code, f"line {ln}: mate symbols do not rearrange base "
+                                f"symbols") for ln in lines]
+    return failures
+
+
+def _ref_orthogonality_failures(t: TradePair) -> list[tuple[str, str]]:
+    a = t.array
+    failures: list[tuple[str, str]] = []
+    if len(a) == 0:
+        return failures
+    r, c, base, mate = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+    p = t.p
+    aux = (t.k * r + c) % p
+    new_pairs = np.sort(mate * p + aux)
+    old_pairs = np.sort(base * p + aux)
+    if np.array_equal(new_pairs, old_pairs):
+        return failures
+    starts = np.flatnonzero(np.concatenate(([True], new_pairs[1:] != new_pairs[:-1])))
+    uniq = new_pairs[starts]
+    counts = np.diff(starts, append=len(new_pairs))
+    for v, n in zip(uniq[counts > 1].tolist(), counts[counts > 1].tolist()):
+        failures.append(("orth:pair_collision",
+                         f"pair (mate {v // p}, aux {v % p}) occurs {n} times"))
+    at = np.minimum(np.searchsorted(old_pairs, uniq), len(old_pairs) - 1)
+    for v in uniq[old_pairs[at] != uniq].tolist():
+        failures.append(("orth:pair_foreign",
+                         f"pair (mate {v // p}, aux {v % p}) survives elsewhere "
+                         f"in the superposition"))
+    return failures
+
+
+def _fields(report) -> tuple:
+    return (report.is_latin_trade, report.is_orthogonal_trade,
+            report.orthogonality_checked, report.size, report.failures)
+
+
+def _has_orthogonal_index(t: TradePair) -> bool:
+    # validate_orthogonal_trade raises on any other index
+    return t.size == 0 or (t.k is not None and t.k != t.ell
+                           and math.gcd(t.k - t.ell, t.p) == 1)
+
+
+def _check_against_reference(t: TradePair) -> tuple[str, ...]:
+    """Both reports of a fresh copy of t equal the references'; returns
+    the failure codes seen."""
+    t = TradePair(t.p, t.ell, t.k, t.array)
+    latin = tuple(_ref_latin_failures(t))
+    assert _fields(validate_latin_trade(t)) == (not latin, False, False, t.size, latin)
+    if not _has_orthogonal_index(t):
+        return tuple(code for code, _ in latin)
+    failures = latin or tuple(_ref_orthogonality_failures(t))
+    assert _fields(validate_orthogonal_trade(t)) == (not latin, not failures, True,
+                                                     t.size, failures)
+    return tuple(code for code, _ in failures)
+
+
+def _with_ell(t: TradePair, ell: int) -> TradePair:
+    # (r, c, base, mate) -> (r, ell*c, ell*base, ell*mate) takes a trade of
+    # index (1, k) in B_p(1) to one of index (ell, ell*k) in B_p(ell)
+    k = None if t.k is None else ell * t.k % t.p
+    return TradePair(t.p, ell, k, t.array * (1, ell, ell, ell) % t.p)
+
+
+def _swapped_mates(t: TradePair, line: int):
+    """Copies of t with the mates of two cells of one row (line 0) or one
+    column (line 1) swapped: that line stays balanced, the other two
+    lines through the cells do not."""
+    a = t.array
+    order = np.lexsort((a[:, 1 - line], a[:, line]))
+    same = np.flatnonzero((a[order[1:], line] == a[order[:-1], line])
+                          & (a[order[1:], 3] != a[order[:-1], 3]))
+    if len(same) == 0:
+        return
+    for s in sorted({same[0], same[-1]}):
+        i, j = order[s], order[s + 1]
+        b = a.copy()
+        b[[i, j], 3] = b[[j, i], 3]
+        yield TradePair(t.p, t.ell, t.k, b)
+
+
+def _mutants(t: TradePair):
+    """t and its one- and two-entry mutations: a changed base, a changed
+    mate, a mate equal to its base, a dropped cell, two bases changed,
+    two mates swapped within a row or a column, and another index."""
+    p, a = t.p, t.array
+    yield t
+    if t.size == 0:
+        return
+    for i in sorted({0, t.size // 3, t.size // 2, t.size - 1}):
+        base, mate = a[i, 2:].tolist()
+        yield _changed(t, i, 2, (base + 1) % p)
+        yield _changed(t, i, 3, (mate + 1) % p)
+        yield _changed(t, i, 3, base)
+        yield TradePair(p, t.ell, t.k, np.delete(a, i, axis=0))
+    b = a.copy()
+    b[[0, -1], 2] = (b[[0, -1], 2] + 2) % p
+    yield TradePair(p, t.ell, t.k, b)
+    for line in (0, 1):
+        yield from _swapped_mates(t, line)
+    if t.k is not None:
+        others = [k for k in range(2, p)
+                  if k != t.k and math.gcd(k, p) == math.gcd(k - t.ell, p) == 1]
+        yield TradePair(p, t.ell, others[len(others) // 2], a)
+
+
+def _seed_trades():
+    from bptrades.search import spectrum_all
+
+    yield from (FIG1, FIG2, B13)
+    s11 = frozenset({0, 22, 33}) | frozenset(range(36, 122))
+    for p, targets in ((5, None), (7, None), (9, None), (11, s11)):
+        yield from spectrum_all(p, targets=targets).certificates.values()
+
+
+def test_validators_match_reference_on_mutations(monkeypatch):
+    # the relabelled codes decide each fact alone: a line diagnosis runs
+    # once per failing Latin fact, a pair diagnosis once per failing
+    # orthogonality check, and none for a fact that holds
+    import bptrades.trades as trades
+
+    diagnosed = []
+    lines, pairs = trades._unbalanced_lines, trades._pair_failures
+    monkeypatch.setattr(trades, "_unbalanced_lines",
+                        lambda *args: diagnosed.append("lines") or lines(*args))
+    monkeypatch.setattr(trades, "_pair_failures",
+                        lambda t: diagnosed.append("pairs") or pairs(t))
+    codes, seeds = Counter(), 0
+    for seed in _seed_trades():
+        seeds += 1
+        for ell in (1, 2):
+            for t in _mutants(_with_ell(seed, ell)):
+                diagnosed.clear()
+                seen = set(_check_against_reference(t))
+                assert diagnosed == (
+                    ["lines"] * len(seen & {"latin:row_balance", "latin:col_balance"})
+                    + ["pairs"] * bool(seen & {"orth:pair_collision", "orth:pair_foreign"}))
+                codes.update(seen)
+    # FIG1, FIG2, B13 and the certificates of p = 5, 7, 9 and 11
+    assert seeds == 3 + 5 + 30 + 70 + 89
+    assert set(codes) == {"latin:base", "latin:disjoint", "latin:row_balance",
+                          "latin:col_balance", "orth:pair_collision", "orth:pair_foreign"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trades(max_size=30))
+def test_validators_match_reference_on_random_trades(t):
+    _check_against_reference(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([FIG1, FIG2, B13, TradePair(9, 1, 2, (  # a certificate of size 6
+    (2, 3, 5, 8), (2, 6, 8, 5), (5, 0, 5, 8), (5, 3, 8, 5), (8, 0, 8, 5), (8, 6, 5, 8)))]),
+       st.sampled_from([1, 2, 4]), st.data())
+def test_validators_match_reference_near_valid_trades(seed, ell, data):
+    # one or two entries of a valid trade changed anywhere, in any way
+    t = _with_ell(seed, ell)
+    a = t.array.copy()
+    for _ in range(data.draw(st.integers(1, 2))):
+        i = data.draw(st.integers(0, len(a) - 1))
+        a[i, data.draw(st.sampled_from([2, 3]))] = data.draw(st.integers(0, t.p - 1))
+    _check_against_reference(TradePair(t.p, t.ell, t.k, a))
+
+
+def test_only_a_wrong_base_is_relabelled(monkeypatch):
+    # a correct base codes its own cells, so only the mates are relabelled
+    # and sorted; a wrong base is relabelled too, and the reports match
+    import bptrades.trades as trades
+
+    calls, line_codes = [], trades._line_codes
+
+    def spy(t, s, shift):
+        calls.append(s.tolist())
+        return line_codes(t, s, shift)
+
+    monkeypatch.setattr(trades, "_line_codes", spy)
+    base, mate = FIG1.array[:, 2].tolist(), FIG1.array[:, 3].tolist()
+    assert _check_against_reference(FIG1) == ()
+    assert calls == [mate]
+    calls.clear()
+    wrong = _changed(FIG1, 5, 2, 0)
+    assert "latin:base" in _check_against_reference(wrong)
+    assert calls == [base[:5] + [0] + base[6:], mate]
+
+
+def test_a_valid_trade_is_sorted_three_times(monkeypatch):
+    # one (2, size) sort of the relabelled mates for the Latin facts, one
+    # of the pair cells for orthogonality; on trades built row by row
+    # (long runs) and transposed (short runs), below and above 1024 codes
+    import bptrades.trades as trades
+    from bptrades.dissect import small_rowperm_pipeline
+
+    shapes, sorted_ = [], trades._sorted
+    monkeypatch.setattr(trades, "_sorted", lambda x: shapes.append(x.shape) or sorted_(x))
+    for t in (FIG1, family16.construct(67).trade, small_rowperm_pipeline(101)[1]):
+        for u in (t, trades._transposed(t)):
+            shapes.clear()
+            assert validate_orthogonal_trade(TradePair(u.p, u.ell, u.k, u.array))
+            assert shapes == [(2, u.size), (u.size,)]
+
+
+def test_column_failure_reports_columns():
+    # the mates of (0, 0) and (0, 4) swapped: row 0 still rearranges its
+    # symbols, columns 0 and 4 do not
+    a = np.array(FIG1_ENTRIES)
+    a[[0, 3], 3] = a[[3, 0], 3]
+    report = validate_latin_trade(TradePair(7, 1, 3, a))
+    assert report.failures == tuple(
+        ("latin:col_balance", f"line {c}: mate symbols do not rearrange base symbols")
+        for c in (0, 4))
+    assert _check_against_reference(TradePair(7, 1, 3, a))
+
+
+@pytest.mark.slow
+def test_validators_match_reference_on_large_trades():
+    # the p = 907 family trade (443,520 entries) and two pipeline trades,
+    # each with a few one-entry mutations
+    from bptrades.dissect import small_rowperm_pipeline
+
+    seeds = [family16.construct(907).trade]
+    seeds += [small_rowperm_pipeline(p)[1] for p in (1009, 9973)]
+    for t in seeds:
+        assert _check_against_reference(t) == ()
+        p, n = t.p, t.size
+        for i in (0, n // 2, n - 1):
+            base, mate = t.array[i, 2:].tolist()
+            assert "latin:base" in _check_against_reference(_changed(t, i, 2, (base + 1) % p))
+            assert _check_against_reference(_changed(t, i, 3, (mate + 1) % p))
+        assert _check_against_reference(TradePair(p, 1, 3 if t.k == 2 else 2, t.array))
