@@ -69,13 +69,18 @@ def construct(p: int) -> FamilyWitness:
             (i, 1, i, k, 0),
             (i, 1, k, k + i - 1, 1 - k),
         ]
-    (rows, cols, symbols), (mate_rows, mate_cols, mates) = (
-        _range_cells(p, k, base), _range_cells(p, k, mate))
-    if not (np.array_equal(rows, mate_rows) and np.array_equal(cols, mate_cols)):
-        raise ValueError("base and mate cell sets differ; construction bug")
+    # each column is dropped once copied, and the entries once the trade
+    # holds its own copy: the peak stays near two copies of the trade
+    rows, cols, symbols = _range_cells(p, k, base)
     entries = np.empty((len(rows), 4), dtype=np.int64)
-    entries[:, 0], entries[:, 1], entries[:, 2], entries[:, 3] = rows, cols, symbols, mates
+    entries[:, 0], entries[:, 1], entries[:, 2] = rows, cols, symbols
+    del rows, cols, symbols
+    rows, cols, entries[:, 3] = _range_cells(p, k, mate)
+    if not (np.array_equal(entries[:, 0], rows) and np.array_equal(entries[:, 1], cols)):
+        raise ValueError("base and mate cell sets differ; construction bug")
+    del rows, cols
     trade = TradePair(p, 1, k, entries)
+    del entries
     if trade.size != 3 * k * (k - 1):
         raise ValueError(f"size {trade.size} != 3k(k-1) = {3 * k * (k - 1)}")
     report = validate_orthogonal_trade(trade)
@@ -113,10 +118,9 @@ def intercalate_witness(w: FamilyWitness) -> tuple[tuple[int, int, int], ...]:
         raise ValueError("witness cells do not form an intercalate")
     if not all(0 <= r < p and 0 <= c < p for r, c, _ in cells):
         raise ValueError(f"witness cells {cells} leave the square")
-    code = t.array[:, 0] * p + t.array[:, 1]
     for r, c, s in cells:
-        i = int(np.searchsorted(code, r * p + c))
-        held = int(t.array[i, 3]) if i < t.size and code[i] == r * p + c else (r + c) % p
+        i = int(np.searchsorted(t._cells, r * p + c))
+        held = int(t.array[i, 3]) if i < t.size and t._cells[i] == r * p + c else (r + c) % p
         if held != s:
             raise ValueError(f"cell ({r},{c}) holds {held}, expected {s}")
     return w.intercalate

@@ -82,7 +82,7 @@ import numpy as np
 
 from bptrades.core import LatinSquare, Orthomorphism, Transversal, _integer, _mate, _modulus
 from bptrades.rowperm import RowPermutation, rowperm_orthogonal
-from bptrades.trades import TradePair
+from bptrades.trades import TradePair, validate_orthogonal_trade
 
 __all__ = [
     "TRANSVERSAL_CAP",
@@ -704,7 +704,12 @@ def _spectra(
             found = {**_symbol_swaps(p, k), **found}
         per_k[k] = frozenset(found)
         for size in sorted(found):
-            certificates.setdefault(size, found[size])
+            if size not in certificates:
+                trade = certificates[size] = found[size]
+                # a certificate stays a proof: a wrong label or mate is caught here
+                if trade.size != size or not validate_orthogonal_trade(trade):
+                    raise RuntimeError(f"certificate for size {size} is not an "
+                                       f"orthogonal trade of that size")
         exhaustive = exhaustive and complete
     return SpectrumResult(
         p=p,

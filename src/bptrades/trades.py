@@ -18,8 +18,8 @@ constructor sorted already.  A fact then holds when the relabelled
 mates, sorted once, equal those codes: a valid trade costs three sorts,
 none of its base (timsort where the codes come in long ascending runs,
 as from a trade built row by row, numpy's default sort otherwise).
-Only a fact that fails is diagnosed, from the sorted (line, symbol) and
-(symbol, aux) codes.
+Only a fact that fails is diagnosed: a line fact from the sorted
+(line, symbol) codes, orthogonality from the sorted pair cells.
 """
 
 from __future__ import annotations
@@ -341,28 +341,23 @@ def _latin_failures(t: TradePair) -> list[tuple[str, str]]:
     return failures
 
 
-def _pair_failures(t: TradePair) -> list[tuple[str, str]]:
-    a, p = t.array, t.p
-    aux = (t.k * a[:, 0] + a[:, 1]) % p
-    # pairs as codes symbol*p + aux; equal neighbours among the new pairs
-    # are collisions, and a binary search against the removed pairs finds
-    # the foreign ones
-    new_pairs = np.sort(a[:, 3] * p + aux)
-    old_pairs = np.sort(a[:, 2] * p + aux)
-    failures: list[tuple[str, str]] = []
-    starts = np.flatnonzero(np.concatenate(([True], new_pairs[1:] != new_pairs[:-1])))
-    uniq = new_pairs[starts]
-    counts = np.diff(starts, append=len(new_pairs))
-    for v, n in zip(uniq[counts > 1].tolist(), counts[counts > 1].tolist()):
-        failures.append(("orth:pair_collision",
-                         f"pair (mate {v // p}, aux {v % p}) occurs {n} times"))
-    # every pair the trade introduces must be one the trade removed,
-    # otherwise it collides with an untouched cell of the superposition
-    at = np.minimum(np.searchsorted(old_pairs, uniq), len(old_pairs) - 1)
-    for v in uniq[old_pairs[at] != uniq].tolist():
-        failures.append(("orth:pair_foreign",
-                         f"pair (mate {v // p}, aux {v % p}) survives elsewhere "
-                         f"in the superposition"))
+def _pair_failures(t: TradePair, cells: np.ndarray) -> list[tuple[str, str]]:
+    # from the sorted cells of the new pairs: equal neighbours are
+    # collisions, and a cell not among the trade's is a pair that survives
+    # elsewhere.  Cell (R, C) holds the pair (ell*R + C, k*R + C) mod p.
+    p = t.p
+    starts = np.flatnonzero(np.concatenate(([True], cells[1:] != cells[:-1])))
+    cells, counts = cells[starts], np.diff(starts, append=len(cells))
+    at = np.minimum(np.searchsorted(t._cells, cells), t.size - 1)
+    r, c = np.divmod(cells, p)
+    pairs = (t.ell * r + c) % p * p + (t.k * r + c) % p
+    twice = np.flatnonzero(counts > 1)
+    twice = twice[np.argsort(pairs[twice])]
+    failures = [("orth:pair_collision", f"pair (mate {v // p}, aux {v % p}) occurs {n} times")
+                for v, n in zip(pairs[twice].tolist(), counts[twice].tolist())]
+    failures += [("orth:pair_foreign", f"pair (mate {v // p}, aux {v % p}) survives elsewhere "
+                                       "in the superposition")
+                 for v in np.sort(pairs[t._cells[at] != cells]).tolist()]
     return failures
 
 
@@ -386,7 +381,7 @@ def _orthogonality_failures(t: TradePair) -> list[tuple[str, str]]:
     row += col
     if (_sorted(row) == t._cells).all():
         return []
-    return _pair_failures(t)
+    return _pair_failures(t, row)
 
 
 def validate_latin_trade(t: TradePair) -> ValidationReport:
@@ -473,49 +468,37 @@ def difference_trade(L: LatinSquare, M: LatinSquare) -> TradePair:
     return TradePair(p, ell, None, entries)
 
 
-def _scaled(t: TradePair) -> TradePair:
-    # (r, c, base, mate) -> (r, c/ell, base/ell, mate/ell) moves the trade
-    # into B_p(1); the index k follows as k/ell
-    if t.ell == 1:
-        return t
-    inv = pow(t.ell, -1, t.p)
-    return TradePair(t.p, 1, t.k * inv % t.p, t.array * (1, inv, inv, inv) % t.p)
-
-
-def _transposed(t: TradePair) -> TradePair:
-    # transposing the applied square fixes B_p(1) and swaps the index k
-    # for its inverse, via k^-1 * (k*r + c) = k^-1 * c + r
-    return TradePair(t.p, 1, pow(t.k, -1, t.p), t.array[:, [1, 0, 2, 3]])
-
-
-def _translated(t: TradePair) -> TradePair:
-    # shift rows by -r0 and columns by -c0 so the least cell is (0, 0);
-    # symbols absorb both shifts, keeping the trade inside B_p(1) and
-    # translating the superimposed pairs coordinate-wise
-    r0, c0 = t.array[0, :2].tolist()
-    if (r0, c0) == (0, 0):
-        return t
-    s = r0 + c0
-    return TradePair(t.p, 1, t.k, (t.array - (r0, c0, s, s)) % t.p)
-
-
 def canonicalize(t: TradePair) -> TradePair:
     """Normalize an orthogonal trade to index (1, K), K = min(k', 1/k').
 
     Steps: scale columns and symbols by 1/ell; transpose when the index
     exceeds its inverse; translate so cell (0, 0) with base symbol 0 is
-    present.  Idempotent and size-preserving; input and output are both
-    re-validated.
+    present.  They act on one array, and one trade is built, none when no
+    step changes the array.  Idempotent and size-preserving; input and
+    output are both re-validated.
     """
     report = validate_orthogonal_trade(t)
     if not report.is_orthogonal_trade:
         raise ValueError(f"input is not an orthogonal trade: {report.failures[:3]}")
     if t.size == 0:
         return t
-    out = _scaled(t)
-    if out.k > pow(out.k, -1, out.p):
-        out = _transposed(out)
-    out = _translated(out)
+    p, k, a = t.p, t.k, t.array
+    if t.ell != 1:
+        # (r, c, base, mate) -> (r, c/ell, base/ell, mate/ell) moves the
+        # trade into B_p(1); the index follows as k/ell
+        inv = pow(t.ell, -1, p)
+        k, a = k * inv % p, a * (1, inv, inv, inv) % p
+    if k > pow(k, -1, p):
+        # transposing fixes B_p(1) and swaps k for its inverse, via
+        # k^-1 * (k*r + c) = k^-1 * c + r
+        k, a = pow(k, -1, p), a[:, [1, 0, 2, 3]]
+    # the least cell moves to (0, 0), the symbols absorbing both shifts
+    r0, c0 = a[np.argmin(a[:, 0] * p + a[:, 1]), :2].tolist()
+    if (r0, c0) != (0, 0):
+        a = (a - (r0, c0, r0 + c0, r0 + c0)) % p
+    if a is t.array:
+        return t
+    out = TradePair(p, 1, k, a)
     check = validate_orthogonal_trade(out)
     if not check.is_orthogonal_trade:
         raise ValueError(f"canonical form failed re-validation: {check.failures[:3]}")

@@ -161,6 +161,24 @@ def test_family_request_validates_once(monkeypatch, p):
     assert calls == {"latin": 1, "orth": 1}
 
 
+@pytest.mark.parametrize("p", [199, pytest.param(907, marks=pytest.mark.slow)])
+def test_family_construction_drops_its_columns(p):
+    # each column and the entries are dropped once copied, so the traced
+    # peak of construct is the trade it keeps plus about one entries copy
+    # (the peak was 3.4 times the trade while every column stayed alive)
+    import tracemalloc
+
+    construct(13)
+    tracemalloc.start()
+    try:
+        w = construct(p)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.trade.size == 3 * w.k * (w.k - 1)
+    assert peak < 2.5 * kept
+
+
 def test_row_multisets_match():
     w = construct(19)
     rows = {}

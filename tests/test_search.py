@@ -1191,6 +1191,43 @@ def test_symbol_swaps_match_anti_diagonal_certificates(p):
         (n, t.to_json()) for n, t in expected.items()]
 
 
+@pytest.mark.parametrize("change", ["swap", "repeat"])
+def test_wrong_cover_labels_raise(monkeypatch, change):
+    # two labels swapped keep a Latin square orthogonal to B_p(k), but
+    # its size is not the one the labels were chosen for; a repeated label
+    # leaves no Latin square at all
+    def wrong(*args):
+        labels = _labels(*args)
+        if change == "swap":
+            labels[0], labels[1] = labels[1], labels[0]
+        else:
+            labels[1] = labels[0]
+        return labels
+
+    monkeypatch.setattr("bptrades.search._labels", wrong)
+    for search in (lambda: spectrum(5, 2), lambda: spectrum_all(7)):
+        with pytest.raises(RuntimeError, match="not an orthogonal trade of that size"):
+            search()
+
+
+def test_wrong_symbol_swap_certificate_raises(monkeypatch):
+    # a budget spent before any cover files the symbol swaps; one of them
+    # with a changed mate is no trade
+    swaps = _symbol_swaps(7, 2)
+    a = swaps[21].array.copy()
+    assert a[0].tolist() == [0, 0, 0, 1]
+    a[0, 3] = 2
+
+    def expired(*args):
+        raise BudgetExpired
+
+    monkeypatch.setattr("bptrades.search._cover_tables", expired)
+    monkeypatch.setattr("bptrades.search._symbol_swaps",
+                        lambda p, k: {**swaps, 21: TradePair(7, 1, 2, a)})
+    with pytest.raises(RuntimeError, match="size 21"):
+        spectrum(7, 2, budget=1.0)
+
+
 def test_spectrum_all_order_nine_slow_marker():
     # full order-9 union is exercised in the acceptance suite; here only
     # the plumbing: a tight budget must still report honest partiality
