@@ -491,18 +491,16 @@ def _labels(p: int, vectors, dp: list[int], target: int) -> list[int]:
 def _certificate(
     p: int, k: int, chosen_masks: list[int], labels: list[int]
 ) -> TradePair:
-    entries = []
-    for mask, s in zip(chosen_masks, labels):
-        m = mask
-        while m:
-            low = m & -m
-            cell = low.bit_length() - 1
-            r, c = divmod(cell, p)
-            base = (r + c) % p
-            if base != s:
-                entries.append((r, c, base, s))
-            m ^= low
-    return TradePair(p, 1, k, np.array(entries))
+    # the masks partition the grid, so labels @ bits is the mate of every
+    # cell, row-major; the trade holds the cells whose mate is not the base
+    n = (p * p + 7) // 8
+    masks = np.frombuffer(b"".join(m.to_bytes(n, "little") for m in chosen_masks),
+                          dtype=np.uint8).reshape(len(chosen_masks), n)
+    bits = np.unpackbits(masks, axis=1, count=p * p, bitorder="little")
+    mate = np.array(labels, dtype=np.int64) @ bits
+    r, c = np.divmod(np.arange(p * p), p)
+    base = (r + c) % p
+    return TradePair(p, 1, k, np.column_stack((r, c, base, mate))[mate != base])
 
 
 def _symbol_swaps(p: int, k: int) -> dict[int, TradePair]:

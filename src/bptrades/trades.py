@@ -29,6 +29,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -47,6 +48,10 @@ __all__ = [
 ]
 
 Entry = tuple[int, int, int, int]
+# rows per gather of TradePair.entries; a block's column lists live
+# until its last entry is made (at 8192 rows they put the peak of reading
+# a 15,135-entry trade 21% above the result, at 2048 5%)
+_BLOCK = 2048
 
 # The largest modulus whose codes (line*p + symbol, k*r + c) stay below
 # 2^63, so the int64 validators cannot wrap.
@@ -84,7 +89,10 @@ class TradePair:
     unknown (e.g. for a plain difference of squares).
 
     ``array`` is the read-only, row-major (size, 4) int64 array of the
-    entries; ``entries`` reads it as a tuple of 4-tuples.  ``_cells``
+    entries; ``entries`` reads it as a tuple of 4-tuples of ``int``.
+    When p <= 4*size they share one int object per residue, from a
+    table of the p residues; for a larger p the table would hold more
+    objects than the entries, so each value gets its own.  ``_cells``
     holds the cell codes r*p + c, ascending, which the constructor sorts
     the entries by and the validators compare against.  Instances are
     immutable, down to the array's data, so each validator computes its
@@ -131,7 +139,14 @@ class TradePair:
     @property
     def entries(self) -> tuple[Entry, ...]:
         """Row-major tuple of (row, col, base, mate) entries."""
-        return tuple(zip(*self.array.T.tolist()))
+        a = self.array
+        if self.p > 4 * len(a):
+            return tuple(zip(*a.T.tolist()))
+        # one int object per residue, gathered a block at a time and per
+        # column: a list per row would be tracked by the garbage collector
+        ints = np.array(range(self.p), dtype=object)
+        return tuple(chain.from_iterable(
+            zip(*ints[a[i:i + _BLOCK]].T.tolist()) for i in range(0, len(a), _BLOCK)))
 
     @property
     def size(self) -> int:

@@ -319,6 +319,22 @@ def _ref_agreement_vector(p, mask):
     return tuple(a)
 
 
+def _ref_certificate(p, k, chosen_masks, labels):
+    # the cells of each mask in turn whose label is not their base symbol
+    entries = []
+    for mask, s in zip(chosen_masks, labels):
+        m = mask
+        while m:
+            low = m & -m
+            cell = low.bit_length() - 1
+            r, c = divmod(cell, p)
+            base = (r + c) % p
+            if base != s:
+                entries.append((r, c, base, s))
+            m ^= low
+    return TradePair(p, 1, k, np.array(entries))
+
+
 def _ref_cover_search(p, k, masks, options, roots, deadline, targets):
     # the cover search before branch and bound: every exact cover from
     # every root is visited and labeled
@@ -1189,6 +1205,27 @@ def test_symbol_swaps_match_anti_diagonal_certificates(p):
     certificates = _symbol_swaps(p, 2)
     assert [(n, t.to_json()) for n, t in certificates.items()] == [
         (n, t.to_json()) for n, t in expected.items()]
+
+
+@pytest.mark.parametrize("p", [5, 7, 9, 11, 13])
+def test_certificate_matches_reference_loop(p):
+    # covers: the anti-diagonals, and the p column shifts of a transversal
+    # (the shift by u adds u to every column and every symbol)
+    rng = random.Random(p)
+    covers = [_anti_diagonals(p)]
+    for cols in itertools.islice(_transversal_columns(gen_bp(p, 1)), 0, 40, 8):
+        covers.append([sum(1 << r * p + (c + u) % p for r, c in enumerate(cols))
+                       for u in range(p)])
+    for masks in covers:
+        assert sum(masks) == (1 << p * p) - 1
+        for trial in range(6):
+            labels = list(range(p))
+            if trial:
+                rng.shuffle(labels)
+            k = rng.choice(admissible_mates(p))
+            t, ref = _certificate(p, k, masks, labels), _ref_certificate(p, k, masks, labels)
+            assert np.array_equal(t.array, ref.array)
+            assert (t.k, t.to_json()) == (ref.k, ref.to_json())
 
 
 @pytest.mark.parametrize("change", ["swap", "repeat"])

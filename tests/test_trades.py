@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from bptrades import family16
 from bptrades.core import LatinSquare, are_orthogonal, gen_bp
+from bptrades.dissect import small_rowperm_pipeline
 from bptrades.trades import (
     P_MAX,
     TradePair,
@@ -661,10 +663,61 @@ def test_to_json_matches_json_dumps_on_a_large_trade():
         assert t.to_json(pretty) == _ref_to_json(t, pretty)
 
 
+def _check_entries(t: TradePair) -> tuple:
+    entries = t.entries
+    assert type(entries) is tuple
+    assert entries == tuple(zip(*t.array.T.tolist()))
+    assert all(type(e) is tuple and len(e) == 4 and all(type(v) is int for v in e)
+               for e in entries)
+    return entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trades())
+def test_entries_match_the_array(t):
+    # p from 3 to P_MAX puts trades on both sides of p <= 4*size
+    _check_entries(t)
+
+
 def test_entries_are_tuples_of_ints():
-    for t in (FIG1, B13, TradePair(5, 1, 2, [])):
-        assert t.entries == tuple(map(tuple, t.array.tolist()))
-        assert all(type(e) is tuple and all(type(v) is int for v in e) for e in t.entries)
+    for t in (FIG1, B13, TradePair(5, 1, 2, []), TradePair(P_MAX, 1, 2, [])):
+        assert _check_entries(t) == tuple(map(tuple, t.array.tolist()))
+    # 15,135 and 25,668 entries: each spans several gathers
+    for t in (small_rowperm_pipeline(1009)[1], family16.construct(199).trade):
+        assert t.p <= 4 * t.size
+        entries = _check_entries(t)
+        # one int object per residue
+        assert len({id(v) for e in entries for v in e}) <= t.p
+
+
+def _entries_peak_ratio(t: TradePair) -> float:
+    # the traced peak of reading entries over what the result keeps: the
+    # tuples, their items shared.  A full collection first empties the
+    # free list of 4-tuples, whose reuse tracemalloc does not see
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        entries = t.entries
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak / (sys.getsizeof(entries) + sum(map(sys.getsizeof, entries)))
+
+
+def test_entries_peak_near_the_result():
+    # p > 256, where CPython caches no int: an int object per value put
+    # the peak at 2.6 times the result, shared ints at 1.05 times
+    assert _entries_peak_ratio(small_rowperm_pipeline(1009)[1]) < 1.25
+
+
+@pytest.mark.slow
+def test_entries_peak_near_the_result_on_the_largest_trade():
+    # the p = 907 family trade, 443,520 entries
+    assert _entries_peak_ratio(family16.construct(907).trade) < 1.25
 
 
 # replacements for one number of a document, and snippets put between
@@ -962,7 +1015,6 @@ def test_a_valid_trade_is_sorted_three_times(monkeypatch):
     # of the pair cells for orthogonality; on trades built row by row
     # (long runs) and transposed (short runs), below and above 1024 codes
     import bptrades.trades as trades
-    from bptrades.dissect import small_rowperm_pipeline
 
     shapes, sorted_ = [], trades._sorted
     monkeypatch.setattr(trades, "_sorted", lambda x: shapes.append(x.shape) or sorted_(x))
@@ -989,8 +1041,6 @@ def test_column_failure_reports_columns():
 def test_validators_match_reference_on_large_trades():
     # the p = 907 family trade (443,520 entries) and two pipeline trades,
     # each with a few one-entry mutations
-    from bptrades.dissect import small_rowperm_pipeline
-
     seeds = [family16.construct(907).trade]
     seeds += [small_rowperm_pipeline(p)[1] for p in (1009, 9973)]
     for t in seeds:
